@@ -110,52 +110,42 @@ def _make_phantom(cfg):
     return make_phantom(cfg.phantom_spec, seed=_seeds(cfg)["phantom"])
 
 
-def cmd_phantom(cfg, outdir):
-    ph = _make_phantom(cfg)
+def _make_mask(cfg):
+    from .simulate import make_mask
+
+    doc = cfg.doc["mask"]
+    return make_mask(cfg.grid, cfg.mask_kind, cfg.mask_param, _seeds(cfg)["mask"],
+                     static=doc["static"], center_block=doc["center_block"])
+
+
+def _write_phantom(cfg, outdir, ph):
     _write(outdir, "phantom.ktar", ph.series.data, cfg)
     _write(outdir, "truth_t2.ktar", ph.t2_maps, cfg)
     _write(outdir, "truth_amp.ktar", ph.amp_maps, cfg)
+
+
+def cmd_phantom(cfg, outdir):
+    _write_phantom(cfg, outdir, _make_phantom(cfg))
     return EXIT_OK
 
 
 def cmd_mask(cfg, outdir):
-    from .simulate import make_mask
-
-    mask = make_mask(
-        cfg.grid,
-        kind=cfg.mask_kind,
-        param=cfg.mask_param,
-        seed=_seeds(cfg)["mask"],
-        static=cfg.doc["mask"]["static"],
-        center_block=cfg.doc["mask"]["center_block"],
-    )
-    _write(outdir, "mask.ktar", mask.mask.astype("<f4"), cfg)
+    _write(outdir, "mask.ktar", _make_mask(cfg).mask.astype("<f4"), cfg)
     return EXIT_OK
 
 
 def cmd_simulate(cfg, outdir):
     from .core import dft2_forward
-    from .simulate import make_coils, make_mask, simulate_measurements
+    from .simulate import make_coils, simulate_measurements
 
     seeds = _seeds(cfg)
     ph = _make_phantom(cfg)
     coils = make_coils(cfg.grid, cfg.coil_count, seed=seeds["coils"])
-    mask = make_mask(
-        cfg.grid,
-        kind=cfg.mask_kind,
-        param=cfg.mask_param,
-        seed=seeds["mask"],
-        static=cfg.doc["mask"]["static"],
-        center_block=cfg.doc["mask"]["center_block"],
-    )
-    kt = dft2_forward(ph.series)
+    mask = _make_mask(cfg)
     noise = cfg.doc["noise"]
-    meas = simulate_measurements(
-        kt, coils, mask, sigma=noise["sigma"], seed=seeds["noise"], relative=noise["relative"]
-    )
-    _write(outdir, "phantom.ktar", ph.series.data, cfg)
-    _write(outdir, "truth_t2.ktar", ph.t2_maps, cfg)
-    _write(outdir, "truth_amp.ktar", ph.amp_maps, cfg)
+    meas = simulate_measurements(dft2_forward(ph.series), coils, mask, sigma=noise["sigma"],
+                                 seed=seeds["noise"], relative=noise["relative"])
+    _write_phantom(cfg, outdir, ph)
     _write(outdir, "coils.ktar", coils.maps, cfg)
     _write(outdir, "mask.ktar", mask.mask.astype("<f4"), cfg)
     _write(outdir, "meas.ktar", meas.b, cfg)
@@ -221,7 +211,7 @@ def _support_from_truth(outdir):
 
 
 def cmd_fit(cfg, outdir, method):
-    from .core import ImageSeries, KtVolume, dft2_inverse
+    from .core import KtVolume, dft2_inverse
     from .mapping import fit_t2
 
     recon = _read(outdir, f"recon_{method}.ktar")

@@ -19,11 +19,11 @@ building blocks:
   frame-pair cross-correlations sampled at spatial shift differences.
   This is the Gram of the spatially circularized lifting that also
   underlies ``NormalMultipliers``, and is what the IRLS solver uses;
-* ``build_normal_multipliers`` / ``apply_normal``: exact collapse of the
-  filter-bank quadratic penalty ``sum_i ||correlate(h_i, x)||^2`` (full
-  circular spatial lags, Nt temporal taps) into k x k spatial multiplier
-  fields, so one operator application costs a handful of FFTs instead of
-  one pass per filter.
+* ``build_normal_multipliers`` / ``apply_block``: exact collapse of the
+  filter-bank penalty ``sum_i ||correlate(h_i, x)||^2`` (full circular
+  spatial lags, Nt temporal taps) into one T x T block per pixel, so in the
+  image domain ``F^H x`` one application is a batched matmul with no FFT.
+  ``apply_normal`` wraps it in the unitary DFT for k-space callers.
 
 The exact and circulant Grams agree exactly when the spatial support
 covers the whole grid; their relative gap is the modeling error of the
@@ -48,7 +48,9 @@ __all__ = [
     "assemble_gram",
     "assemble_gram_circulant",
     "build_normal_multipliers",
+    "multiplier_fields",
     "multiplier_fields_from_filters",
+    "apply_block",
     "apply_normal",
     "penalty_value",
     "apply_filter_corr",
@@ -94,14 +96,9 @@ def hybrid_conv(rho_hat, c, spec: FilterSpec):
     cpad[:, : spec.n1, : spec.n2] = c
     fx = np.fft.fft2(x, axes=(0, 1))
     fc = np.fft.fft2(cpad, axes=(1, 2))
-    out = np.empty((k, p, q), dtype=np.complex128)
-    for tau in range(k):
-        mt = tau + nt - 1
-        acc = np.zeros((p, q), dtype=np.complex128)
-        for lt in range(nt):
-            acc += fx[:, :, mt - lt] * fc[lt]
-        out[tau] = np.fft.ifft2(acc)
-    return out
+    # output frame tau sums tap lt times input frame tau + Nt - 1 - lt
+    frames = np.arange(k)[:, None] + nt - 1 - np.arange(nt)[None, :]
+    return np.fft.ifft2(np.einsum("pqkl,lpq->kpq", fx[:, :, frames], fc), axes=(1, 2))
 
 
 def valid_conv(rho_hat, c, spec: FilterSpec):
@@ -139,10 +136,6 @@ class GramMatrix:
     restriction: str
     circulant: bool = False
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def _row_positions(spec, restriction):
     if restriction not in RESTRICTIONS:
@@ -158,12 +151,7 @@ def _row_positions(spec, restriction):
 def _needed_frame_pairs(spec):
     """Frame pairs (a, b) arising in the temporal block sums, row-major."""
     nt, k = spec.nt, spec.k
-    pairs = set()
-    for tau in range(k):
-        for tau2 in range(k):
-            for lt in range(nt):
-                pairs.add((tau + nt - 1 - lt, tau2 + nt - 1 - lt))
-    return sorted(pairs)
+    return sorted({(a + s, b + s) for a in range(k) for b in range(k) for s in range(nt)})
 
 
 def _guard_rows(spec, restriction):
@@ -264,18 +252,19 @@ def assemble_gram_circulant(
     for a, b in _needed_frame_pairs(spec):
         cache[(a, b)] = np.fft.ifft2(ff[:, :, a] * ffc[:, :, b]).ravel()
 
-    m = k * nr
-    out = np.empty((m, m), dtype=np.complex128)
+    def block(tau, tau2):
+        gs = cache[(tau + nt - 1, tau2 + nt - 1)].copy()
+        for lt in range(1, nt):
+            gs += cache[(tau + nt - 1 - lt, tau2 + nt - 1 - lt)]
+        return gs.take(flat).reshape(nr, nr)
+
+    # Hermitian part (B + B^H) / 2, one block pair at a time: no m x m temporary
+    out = np.empty((k * nr, k * nr), dtype=np.complex128)
     for tau in range(k):
-        for tau2 in range(k):
-            gs = cache[(tau + nt - 1, tau2 + nt - 1)].copy()
-            for lt in range(1, nt):
-                gs += cache[(tau + nt - 1 - lt, tau2 + nt - 1 - lt)]
-            out[tau * nr : (tau + 1) * nr, tau2 * nr : (tau2 + 1) * nr] = gs.take(flat).reshape(
-                nr, nr
-            )
-    out += out.conj().T
-    out *= 0.5
+        for tau2 in range(tau, k):
+            blk = 0.5 * (block(tau, tau2) + block(tau2, tau).conj().T)
+            out[tau * nr : (tau + 1) * nr, tau2 * nr : (tau2 + 1) * nr] = blk
+            out[tau2 * nr : (tau2 + 1) * nr, tau * nr : (tau + 1) * nr] = blk.conj().T
     return GramMatrix(out, spec, restriction, circulant=True)
 
 
@@ -285,19 +274,12 @@ def assemble_gram_circulant(
 
 @dataclass(frozen=True)
 class NormalMultipliers:
-    """k x k spatial multiplier fields collapsing the filter-bank penalty.
+    """Collapsed penalty in the image domain z = F^H x (F the unitary DFT):
+    ``(N z)[r] = block[r] @ z[r]``, one Hermitian PSD T x T block per pixel,
+    ``block[r, a + s, b + s] = sum_{s < Nt} fields[a, b, r]``."""
 
-    ``fields[tau, tau'] = sum_i conj(Hhat_i_tau) * Hhat_i_tau'`` where
-    ``Hhat_i_tau`` is the raw spatial DFT of filter i's temporal slice tau
-    zero-padded to the grid.  The induced block operator is Hermitian PSD.
-    """
-
-    fields: np.ndarray = field(repr=False)  # (k, k, P, Q)
+    block: np.ndarray = field(repr=False)  # (P, Q, T, T)
     spec: FilterSpec
-
-    def __post_init__(self):
-        rev = np.conj(np.roll(self.fields[..., ::-1, ::-1], (1, 1), axis=(-2, -1)))
-        object.__setattr__(self, "_rev", rev)
 
 
 def _filter_bank(weights):
@@ -322,13 +304,14 @@ def multiplier_fields_from_filters(filters, spec: FilterSpec, offset=(0, 0)):
     return fields
 
 
-def build_normal_multipliers(weights, spec: FilterSpec) -> NormalMultipliers:
-    """Collapse a weight set into multiplier fields via Gram profiles.
+def multiplier_fields(weights, spec: FilterSpec):
+    """k x k fields ``sum_i conj(Hhat_i_tau) * Hhat_i_tau'`` via Gram profiles.
 
-    Uses ``fields[tau,tau'][kappa] = sum_{m,m'} H[(tau,m),(tau',m')]
-    exp(-2 pi i kappa (m' - m))`` with H the filter-bank Gram, i.e. one
-    scatter over spatial difference profiles plus k^2 FFTs, independent of
-    the number of filters.  Identical to the literal per-filter formula.
+    ``Hhat_i_tau`` is the raw spatial DFT of filter i's slice tau padded to
+    the grid.  With H the filter-bank Gram, ``fields[tau,tau'][kappa] =
+    sum_{m,m'} H[(tau,m),(tau',m')] exp(-2 pi i kappa (m' - m))``: one
+    scatter over spatial difference profiles plus one batched FFT,
+    independent of the filter count.  Equals the literal per-filter formula.
     """
     filters = _filter_bank(weights)
     m, k, wp, wq = filters.shape
@@ -338,42 +321,43 @@ def build_normal_multipliers(weights, spec: FilterSpec) -> NormalMultipliers:
     if wp > p or wq > q:
         raise ValueError(f"filter window {wp}x{wq} exceeds grid {p}x{q}")
     fields = np.zeros((k, k, p, q), dtype=np.complex128)
-    if m == 0:
-        return NormalMultipliers(fields, spec)
-    fh = filters.reshape(m, -1)
-    gram = (fh.conj().T @ fh).reshape(k, wp, wq, k, wp, wq)
-    m1 = np.repeat(np.arange(wp), wq)
-    m2 = np.tile(np.arange(wq), wp)
+    fh = filters.reshape(m, k * wp * wq)
+    s = wp * wq
+    gram = (fh.conj().T @ fh).reshape(k, s, k, s).transpose(0, 2, 1, 3).ravel()
+    m1, m2 = np.divmod(np.arange(s), wq)
     ex = (m1[None, :] - m1[:, None]) % p
     ey = (m2[None, :] - m2[:, None]) % q
-    flat = (ex * q + ey).ravel()
-    s = wp * wq
-    for tau in range(k):
-        for tau2 in range(k):
-            block = gram[tau, :, :, tau2].reshape(s * s)
-            emb = np.bincount(flat, weights=block.real, minlength=p * q) + 1j * np.bincount(
-                flat, weights=block.imag, minlength=p * q
-            )
-            fields[tau, tau2] = np.fft.fft2(emb.reshape(p, q))
-    return NormalMultipliers(fields, spec)
+    # one bin range of P*Q per temporal pair (tau, tau')
+    flat = ((np.arange(k * k) * (p * q))[:, None] + (ex * q + ey).ravel()).ravel()
+    emb = fields.reshape(-1)
+    emb.real = np.bincount(flat, weights=gram.real, minlength=emb.size)
+    emb.imag = np.bincount(flat, weights=gram.imag, minlength=emb.size)
+    return np.fft.fft2(fields, axes=(2, 3), out=fields)
+
+
+def build_normal_multipliers(weights, spec: FilterSpec) -> NormalMultipliers:
+    """Scatter the multiplier fields into one T x T block per pixel."""
+    fields = multiplier_fields(weights, spec).transpose(2, 3, 0, 1)
+    k, t = spec.k, spec.grid.t
+    block = np.zeros(spec.grid.shape + (t,), dtype=np.complex128)
+    for s in range(spec.nt):
+        block[:, :, s : s + k, s : s + k] += fields
+    return NormalMultipliers(block, spec)
+
+
+def apply_block(mult: NormalMultipliers, z):
+    """Penalty normal operator on an image-domain volume: one matmul per pixel."""
+    return np.matmul(mult.block, z[..., None])[..., 0]
 
 
 def apply_normal(mult: NormalMultipliers, x):
-    """Apply the collapsed normal operator sum_i A_i* A_i to a volume."""
+    """sum_i A_i* A_i on a k-t volume: the k-space adapter F . block . F^H."""
     spec = mult.spec
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != spec.grid.shape:
         raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
-    nt, k = spec.nt, spec.k
-    xhat = np.fft.fft2(x, axes=(0, 1))
-    acc = np.zeros_like(xhat)
-    rev = mult._rev
-    for lt in range(nt):
-        for tau in range(k):
-            src = xhat[:, :, tau + nt - 1 - lt]
-            for tau2 in range(k):
-                acc[:, :, tau2 + nt - 1 - lt] += rev[tau, tau2] * src
-    return np.fft.ifft2(acc, axes=(0, 1))
+    z = apply_block(mult, np.fft.ifft2(x, axes=(0, 1), norm="ortho"))
+    return np.fft.fft2(z, axes=(0, 1), norm="ortho", out=z)
 
 
 def penalty_value(mult: NormalMultipliers, x):

@@ -3,7 +3,9 @@
 Alternates a weight update (eigendecomposition of the valid-shift Gram,
 filters = rows of ``(Lambda + eps I)^(p/4 - 1/2) U*``) with a weighted
 least-squares update solved matrix-free by conjugate gradients on the
-normal equations, using the collapsed multiplier operator from fastops.
+normal equations.  CG runs on the image-domain variable ``z = F^H x``,
+where the penalty is the per-pixel T x T block from fastops and the data
+term ``sum_c conj(S_c) F^H M F S_c`` costs one FFT pair per coil.
 
 Internal consistency note: the weight Gram, the smoothed objective and
 the quadratic penalty all refer to the same spatially circularized
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fastops, simulate
-from .core import KtVolume
+from .core import KtVolume, require_finite
 from .lifting import FilterSpec
 
 __all__ = [
@@ -76,7 +78,6 @@ class SolverConfig:
     outer_iters: int = 30
     cg_iters: int = 200
     cg_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.p <= 2:
@@ -204,13 +205,14 @@ class CgResult:
     x: np.ndarray
     iters: int
     rel_residual: float
+    stop: str  # tol, maxiter, nonpositive_curvature, stagnation or zero_rhs
 
 
 def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200) -> CgResult:
     """Conjugate gradients for a Hermitian PSD operator on complex arrays."""
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return CgResult(np.zeros_like(rhs), 0, 0.0)
+        return CgResult(np.zeros_like(rhs), 0, 0.0, "zero_rhs")
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.complex128, copy=True)
     r = rhs - op(x)
     pdir = r.copy()
@@ -220,11 +222,13 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200) -> CgResult:
     bad_streak = 0
     history = [res]
     it = 0
+    stop = None
     while res / rhs_norm > tol and it < maxiter:
         ap = op(pdir)
         denom = float(np.vdot(pdir, ap).real)
         if denom <= 0:
-            break  # numerically semidefinite direction; current x is best
+            stop = "nonpositive_curvature"  # semidefinite direction; x is best
+            break
         alpha = rs / denom
         x += alpha * pdir
         r -= alpha * ap
@@ -244,26 +248,33 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200) -> CgResult:
                     iterate=x,
                     residuals=history,
                 )
+            stop = "stagnation"
             break
         best = min(best, res)
         pdir = r + (rs_new / rs) * pdir
         rs = rs_new
         it += 1
-    return CgResult(x, it, res / rhs_norm)
+    stop = stop or ("tol" if res / rhs_norm <= tol else "maxiter")
+    return CgResult(x, it, res / rhs_norm, stop)
 
 
-def _data_residual_sq(x, meas):
-    grid = meas.mask.mask.shape
-    vol = KtVolume(_grid_of(meas), x)
-    resid = simulate.forward(vol, meas.coils, meas.mask) - meas.b
+def _data_residual_sq(x, meas, grid):
+    resid = simulate.forward(KtVolume(grid, x), meas.coils, meas.mask) - meas.b
     return float(np.vdot(resid, resid).real)
 
 
-def _grid_of(meas):
-    from .core import Grid
-
-    p, q, t = meas.mask.mask.shape
-    return Grid(p, q, t)
+def _data_normal(z, maps, mask):
+    """sum_c conj(S_c) F^H M F (S_c z); F^H M F z when ``maps`` is None."""
+    if maps is None:
+        d = np.fft.fft2(z, axes=(0, 1), norm="ortho")
+        d *= mask
+        return np.fft.ifft2(d, axes=(0, 1), norm="ortho")
+    out = np.zeros_like(z)
+    for s in maps:
+        d = _data_normal(z * s[:, :, None], None, mask)
+        d *= np.conj(s)[:, :, None]
+        out += d
+    return out
 
 
 def ls_update(
@@ -276,23 +287,36 @@ def ls_update(
 ):
     """Solve (sum_i A_i* A_i + lam A* A) x = lam A* b by warm-started CG.
 
-    Returns (KtVolume, CgResult).  The quadratic objective at the result
-    never exceeds its value at the warm start.
+    CG runs on z = F^H x; the change of variables is unitary, so iterates
+    and residual norms are those of the k-space solve.  Returns (KtVolume,
+    CgResult) in k-space.  The quadratic objective at the result never
+    exceeds its value at the warm start.
     """
     spec = weights.spec
-    grid = spec.grid
     mult = fastops.build_normal_multipliers(weights, spec)
-    coils, mask = meas.coils, meas.mask
+    mask = meas.mask.mask
+    maps = None if simulate._uniform_single_coil(meas.coils) else meas.coils.maps
 
-    def op(x):
-        vol = KtVolume(grid, x)
-        ata = simulate.adjoint(simulate.forward(vol, coils, mask), coils, mask, grid).data
-        return fastops.apply_normal(mult, x) + lam * ata
+    rhs = lam * sum(
+        np.conj(s)[:, :, None] * np.fft.ifft2(b * mask, axes=(0, 1), norm="ortho")
+        for s, b in zip(meas.coils.maps, meas.b)
+    )
+    require_finite("ls_update right-hand side lam * A* meas.b", rhs)
+    z0 = None
+    if warm_start is not None:
+        x0 = np.asarray(warm_start, dtype=np.complex128)
+        require_finite("ls_update warm_start", x0)
+        z0 = np.fft.ifft2(x0, axes=(0, 1), norm="ortho")
 
-    rhs = lam * simulate.adjoint(meas.b, coils, mask, grid).data
-    x0 = None if warm_start is None else np.asarray(warm_start, dtype=np.complex128)
-    result = cg_solve(op, rhs, x0=x0, tol=cg_tol, maxiter=cg_iters)
-    return KtVolume(grid, result.x), result
+    def op(z):
+        d = _data_normal(z, maps, mask)
+        d *= lam
+        d += fastops.apply_block(mult, z)
+        return d
+
+    result = cg_solve(op, rhs, x0=z0, tol=cg_tol, maxiter=cg_iters)
+    result.x = np.fft.fft2(result.x, axes=(0, 1), norm="ortho")
+    return KtVolume(spec.grid, result.x), result
 
 
 @dataclass(frozen=True)
@@ -304,9 +328,11 @@ class IterRecord:
     reg_term: float
     cg_iters: int
     seconds: float
-    # smoothed objective of the previous iterate at this iteration's eps;
-    # kept in memory for monotonicity checks, not serialized
+    # not serialized: the smoothed objective of the previous iterate at this
+    # eps (for monotonicity checks) and how the least-squares CG ended
     objective_warm: float = float("nan")
+    cg_rel_residual: float = float("nan")
+    cg_stop: str = ""
 
 
 @dataclass
@@ -319,10 +345,7 @@ class SolveReport:
     def to_csv(self, path):
         lines = [",".join(self.CSV_COLUMNS)]
         for r in self.records:
-            lines.append(
-                f"{r.iter},{r.eps!r},{r.objective!r},{r.data_term!r},"
-                f"{r.reg_term!r},{r.cg_iters},{r.seconds!r}"
-            )
+            lines.append(",".join(repr(getattr(r, c)) for c in self.CSV_COLUMNS))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -361,7 +384,7 @@ def irls_solve(
     if eps <= 0:
         eps = 1.0  # degenerate all-zero start; any positive eps works
     eps_min = 1e-9 * lam_max0 if cfg.eps_min == "auto" else float(cfg.eps_min)
-    data_sq = _data_residual_sq(x, meas)
+    data_sq = _data_residual_sq(x, meas, grid)
 
     records = []
     converged = False
@@ -374,7 +397,7 @@ def irls_solve(
         )
         x = vol.data
         eigvals, eigvecs = _gram_eig(x, spec, restriction, "circulant")
-        data_sq = _data_residual_sq(x, meas)
+        data_sq = _data_residual_sq(x, meas, grid)
         reg = _smoothed_reg(eigvals, eps, cfg.p)
         data_term = 0.5 * cfg.lam * data_sq
         objective = reg + data_term
@@ -388,6 +411,8 @@ def irls_solve(
                 cg_iters=cg.iters,
                 seconds=time.perf_counter() - tic,
                 objective_warm=warm_obj,
+                cg_rel_residual=cg.rel_residual,
+                cg_stop=cg.stop,
             )
         )
         if not np.isfinite(objective):

@@ -225,12 +225,12 @@ class TestNormalMultipliers:
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         w = _one_hot_weights(spec, tau_hot=1, pos=(0, 1))
-        mult = fastops.build_normal_multipliers(w, spec)
-        assert np.allclose(mult.fields[1, 1], 1.0, atol=1e-12)
+        fields = fastops.multiplier_fields(w, spec)
+        assert np.allclose(fields[1, 1], 1.0, atol=1e-12)
         for a in range(spec.k):
             for b in range(spec.k):
                 if (a, b) != (1, 1):
-                    assert np.abs(mult.fields[a, b]).max() < 1e-12
+                    assert np.abs(fields[a, b]).max() < 1e-12
 
     def test_profile_route_matches_literal_formula(self):
         g = Grid(8, 7, 4)
@@ -241,9 +241,9 @@ class TestNormalMultipliers:
             filters=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
             spatial_offset=spec.spatial_offset("linear"),
         )
-        mult = fastops.build_normal_multipliers(w, spec)
+        fields = fastops.multiplier_fields(w, spec)
         ref = fastops.multiplier_fields_from_filters(w.filters, spec, w.spatial_offset)
-        assert np.abs(mult.fields - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(fields - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_collapsed_matches_direct(self):
         g = Grid(8, 8, 4)
@@ -261,6 +261,27 @@ class TestNormalMultipliers:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         assert abs(fastops.penalty_value(mult, x) - fastops.penalty_value_direct(w, spec, x)) \
             <= 1e-10 * abs(fastops.penalty_value_direct(w, spec, x))
+
+    @pytest.mark.parametrize("nt", [1, 2, 5])
+    def test_image_domain_block_matches_direct(self, nt):
+        # Nt = 1, 2 and T cover k = T, a small k and k = 1
+        g = Grid(7, 6, 5)
+        spec = FilterSpec(3, 2, nt, g)
+        rng = np.random.default_rng(30 + nt)
+        shape = (4, spec.k, spec.m1, spec.m2)
+        w = SimpleNamespace(
+            filters=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            spatial_offset=spec.spatial_offset("linear"),
+        )
+        mult = fastops.build_normal_multipliers(w, spec)
+        assert mult.block.shape == (g.p, g.q, g.t, g.t)
+        assert np.abs(mult.block - np.conj(np.swapaxes(mult.block, 2, 3))).max() \
+            <= 1e-12 * np.abs(mult.block).max()
+        x = random_volume(g, 31).data
+        z = np.fft.ifft2(x, axes=(0, 1), norm="ortho")
+        got = np.fft.fft2(fastops.apply_block(mult, z), axes=(0, 1), norm="ortho")
+        want = fastops.penalty_apply_direct(w, spec, x)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_adjoint_property(self):
         g = Grid(7, 6, 4)

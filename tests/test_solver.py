@@ -167,6 +167,46 @@ class TestCg:
         res = cg_solve(lambda v: m @ v, rhs, tol=1e-12, maxiter=300)
         assert np.linalg.norm(m @ res.x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
+    @staticmethod
+    def _spd(n=20, seed=10):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return a.conj().T @ a + 0.5 * np.eye(n), rhs
+
+    def test_stop_tol(self):
+        m, rhs = self._spd()
+        res = cg_solve(lambda v: m @ v, rhs, tol=1e-10, maxiter=300)
+        assert res.stop == "tol"
+        assert res.rel_residual <= 1e-10
+
+    def test_stop_maxiter(self):
+        m, rhs = self._spd()
+        res = cg_solve(lambda v: m @ v, rhs, tol=1e-12, maxiter=3)
+        assert res.stop == "maxiter"
+        assert res.iters == 3
+        assert res.rel_residual > 1e-12
+
+    def test_stop_nonpositive_curvature(self):
+        _, rhs = self._spd()
+        res = cg_solve(lambda v: -v, rhs, tol=1e-12, maxiter=50)
+        assert res.stop == "nonpositive_curvature"
+        assert res.iters == 0
+
+    def test_stop_stagnation(self):
+        # rotation-like operator: the residual climbs mildly, never 10x its best
+        m = np.array([[1.0, -1.0], [1.0, 1.0]])
+        res = cg_solve(lambda v: m @ v, np.array([1.0 + 0j, 0.5]), tol=1e-12, maxiter=500)
+        assert res.stop == "stagnation"
+        assert res.iters < 500
+
+    def test_stop_zero_rhs(self):
+        m, rhs = self._spd()
+        res = cg_solve(lambda v: m @ v, np.zeros_like(rhs), x0=rhs, tol=1e-12)
+        assert res.stop == "zero_rhs"
+        assert res.iters == 0
+        assert not res.x.any()
+
 
 class TestLsUpdate:
     def test_empty_weights_identity_operator(self):
@@ -187,47 +227,65 @@ class TestLsUpdate:
         assert np.abs(vol.data[~m]).max() <= 1e-10 * scale
 
     def test_cg_matches_dense_oracle(self):
+        # one uniform coil and C = 3 coils: both data-term paths of the CG operator
         g = Grid(8, 8, 4)
-        kt, meas, spec = make_problem(g, fraction=0.5, seed=4)
-        w = weight_update(kt.data, spec, p=0.6, eps=0.1)
-        lam = 7.0
-        mult = fastops.build_normal_multipliers(w, spec)
+        for c, seed in ((1, 4), (3, 7)):
+            kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=seed)
+            w = weight_update(kt.data, spec, p=0.6, eps=0.1)
+            lam = 7.0
+            mult = fastops.build_normal_multipliers(w, spec)
 
-        def op(x):
-            vol = KtVolume(g, x)
-            ata = simulate.adjoint(
-                simulate.forward(vol, meas.coils, meas.mask), meas.coils, meas.mask, g
-            ).data
-            return fastops.apply_normal(mult, x) + lam * ata
+            def op(x):
+                vol = KtVolume(g, x)
+                ata = simulate.adjoint(
+                    simulate.forward(vol, meas.coils, meas.mask), meas.coils, meas.mask, g
+                ).data
+                return fastops.apply_normal(mult, x) + lam * ata
 
-        n = g.p * g.q * g.t
-        dense = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[j] = 1.0
-            dense[:, j] = op(e.reshape(g.shape)).ravel()
-        rhs = lam * simulate.adjoint(meas.b, meas.coils, meas.mask, g).data
-        want = np.linalg.solve(dense, rhs.ravel()).reshape(g.shape)
-        vol, _ = ls_update(w, meas, lam, cg_iters=3000, cg_tol=1e-13)
-        assert np.linalg.norm(vol.data - want) <= 1e-8 * np.linalg.norm(want)
+            n = g.p * g.q * g.t
+            dense = np.zeros((n, n), dtype=complex)
+            for j in range(n):
+                e = np.zeros(n, dtype=complex)
+                e[j] = 1.0
+                dense[:, j] = op(e.reshape(g.shape)).ravel()
+            rhs = lam * simulate.adjoint(meas.b, meas.coils, meas.mask, g).data
+            want = np.linalg.solve(dense, rhs.ravel()).reshape(g.shape)
+            vol, cg = ls_update(w, meas, lam, cg_iters=3000, cg_tol=1e-13)
+            assert cg.stop == "tol"
+            assert np.linalg.norm(vol.data - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_quadratic_never_worse_than_warm_start(self):
         g = Grid(8, 8, 4)
-        kt, meas, spec = make_problem(g, fraction=0.4, seed=5)
-        w = weight_update(random_volume(g, 11), spec, p=0.6, eps=0.3)
-        lam = 2.0
-        mult = fastops.build_normal_multipliers(w, spec)
+        for c in (1, 3):
+            kt, meas, spec = make_problem(g, fraction=0.4, c=c, seed=5)
+            w = weight_update(random_volume(g, 11), spec, p=0.6, eps=0.3)
+            lam = 2.0
+            mult = fastops.build_normal_multipliers(w, spec)
 
-        def objective(x):
-            vol = KtVolume(g, x)
-            resid = simulate.forward(vol, meas.coils, meas.mask) - meas.b
-            return fastops.penalty_value(mult, x) + 0.5 * lam * float(
-                np.vdot(resid, resid).real
-            )
+            def objective(x):
+                vol = KtVolume(g, x)
+                resid = simulate.forward(vol, meas.coils, meas.mask) - meas.b
+                return fastops.penalty_value(mult, x) + 0.5 * lam * float(
+                    np.vdot(resid, resid).real
+                )
 
-        warm = random_volume(g, 12)
-        vol, _ = ls_update(w, meas, lam, warm_start=warm, cg_iters=40, cg_tol=1e-10)
-        assert objective(vol.data) <= objective(warm) * (1 + 1e-10) + 1e-10
+            warm = random_volume(g, 12)
+            vol, _ = ls_update(w, meas, lam, warm_start=warm, cg_iters=40, cg_tol=1e-10)
+            assert objective(vol.data) <= objective(warm) * (1 + 1e-10) + 1e-10
+
+    def test_non_finite_inputs_named(self):
+        g = Grid(8, 8, 4)
+        kt, meas, spec = make_problem(g, fraction=0.5, c=3, seed=6)
+        w = weight_update(kt.data, spec, p=0.6, eps=0.1)
+        warm = kt.data.copy()
+        warm[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="warm_start"):
+            ls_update(w, meas, 2.0, warm_start=warm, cg_iters=5)
+        b = meas.b.copy()
+        b[2][meas.mask.mask] = np.nan
+        bad = simulate.Measurements(b=b, mask=meas.mask, coils=meas.coils)
+        with pytest.raises(ValueError, match="meas.b"):
+            ls_update(w, bad, 2.0, warm_start=kt.data, cg_iters=5)
 
 
 class TestGradient:
