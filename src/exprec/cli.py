@@ -9,7 +9,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,8 +18,6 @@ EXIT_NOT_CONVERGED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,7 +33,6 @@ def _build_parser():
     common.add_argument("--config", required=True, help="JSON config path or preset:<name>")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--threads", type=int, default=None, help="BLAS/FFT thread cap")
     method = argparse.ArgumentParser(add_help=False)
     method.add_argument(
         "--method", default="proposed", choices=["proposed", "ktlr", "zerofill"]
@@ -50,22 +46,6 @@ def _build_parser():
     sub.add_parser("render", parents=[common, method], help="render PGM images")
     sub.add_parser("presets", help="list built-in presets")
     return parser
-
-
-def _setup_threads(requested):
-    n = requested
-    if n is None:
-        env = os.environ.get("EXPREC_THREADS")
-        if env:
-            try:
-                n = int(env)
-            except ValueError:
-                raise UsageError(f"EXPREC_THREADS={env!r} is not an integer")
-    if n is not None:
-        if n < 1:
-            raise UsageError("--threads must be >= 1")
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, str(n))
 
 
 class UsageError(ValueError):
@@ -158,15 +138,8 @@ def _load_measurements(cfg, outdir):
     from .simulate import CoilSet, Measurements, SamplingMask
 
     b = _read(outdir, "meas.ktar")
-    mask_arr = _read(outdir, "mask.ktar") > 0.5
+    mask = SamplingMask(_read(outdir, "mask.ktar") > 0.5)
     coils = CoilSet(_read(outdir, "coils.ktar").astype(np.complex128))
-    mask = SamplingMask(
-        mask=mask_arr,
-        kind=cfg.mask_kind,
-        param=cfg.mask_param,
-        seed=_seeds(cfg)["mask"],
-        static=cfg.doc["mask"]["static"],
-    )
     return Measurements(
         b=b.astype(np.complex128), mask=mask, coils=coils, noise_sigma=cfg.doc["noise"]["sigma"]
     )
@@ -283,7 +256,6 @@ def main(argv=None) -> int:
             for name in available_presets():
                 print(name)
             return EXIT_OK
-        _setup_threads(args.threads)
         cfg = _load_config(args)
         outdir = Path(args.out)
         if args.command == "phantom":

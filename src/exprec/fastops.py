@@ -132,9 +132,6 @@ class GramMatrix:
     """Dense Gram over the valid-shift set, in k x k temporal partitions."""
 
     matrix: np.ndarray = field(repr=False)
-    spec: FilterSpec
-    restriction: str
-    circulant: bool = False
 
 
 def _row_positions(spec, restriction):
@@ -223,7 +220,7 @@ def assemble_gram(rho_hat, spec: FilterSpec, restriction: str = "valid_linear") 
                 blk += cache[(tau + nt - 1 - lt, tau2 + nt - 1 - lt)]
             out[tau * nr : (tau + 1) * nr, tau2 * nr : (tau2 + 1) * nr] = blk
     out = 0.5 * (out + out.conj().T)
-    return GramMatrix(out, spec, restriction, circulant=False)
+    return GramMatrix(out)
 
 
 def assemble_gram_circulant(
@@ -265,7 +262,7 @@ def assemble_gram_circulant(
             blk = 0.5 * (block(tau, tau2) + block(tau2, tau).conj().T)
             out[tau * nr : (tau + 1) * nr, tau2 * nr : (tau2 + 1) * nr] = blk
             out[tau2 * nr : (tau2 + 1) * nr, tau * nr : (tau + 1) * nr] = blk.conj().T
-    return GramMatrix(out, spec, restriction, circulant=True)
+    return GramMatrix(out)
 
 
 # ---------------------------------------------------------------------------

@@ -151,15 +151,16 @@ def recon_ktlowrank(meas: Measurements, mu: float, iters: int = 100) -> KtlrResu
     trace = []
     sv = np.zeros(min(p * q, t))
     prev = np.inf
+    # A x - b for the current x; each sweep's objective residual is the
+    # next sweep's gradient residual
+    resid = forward(KtVolume(grid, x), meas.coils, meas.mask) - meas.b
     for _ in range(iters):
-        vol = KtVolume(grid, x)
-        resid = forward(vol, meas.coils, meas.mask) - meas.b
         grad = adjoint(resid, meas.coils, meas.mask, grid).data
         z = (x - grad).reshape(p * q, t)
         znew, sv = _svt(z, mu)
         x = znew.reshape(p, q, t)
-        resid_new = forward(KtVolume(grid, x), meas.coils, meas.mask) - meas.b
-        obj = 0.5 * float(np.vdot(resid_new, resid_new).real) + mu * float(sv.sum())
+        resid = forward(KtVolume(grid, x), meas.coils, meas.mask) - meas.b
+        obj = 0.5 * float(np.vdot(resid, resid).real) + mu * float(sv.sum())
         trace.append(obj)
         if obj > prev * (1 + 1e-8) and obj > prev + 1e-12:
             raise RuntimeError(f"k-t low rank objective increased: {prev} -> {obj}")

@@ -183,10 +183,6 @@ class CoilSet:
 
     maps: np.ndarray = field(repr=False)  # (C, P, Q) complex
 
-    @property
-    def c(self):
-        return self.maps.shape[0]
-
 
 def make_coils(grid: Grid, c: int, seed: int = 0) -> CoilSet:
     """Smooth complex Gaussian-bump sensitivities, SOS normalized."""
@@ -217,17 +213,9 @@ def make_coils(grid: Grid, c: int, seed: int = 0) -> CoilSet:
 
 @dataclass(frozen=True)
 class SamplingMask:
-    """Binary k-space sampling pattern per frame."""
+    """Binary k-space sampling pattern per frame, as a (P, Q, T) bool array."""
 
-    mask: np.ndarray = field(repr=False)  # (P, Q, T) bool
-    kind: str
-    param: float
-    seed: int
-    static: bool = False
-
-    @property
-    def fraction(self):
-        return float(np.count_nonzero(self.mask)) / self.mask.size
+    mask: np.ndarray = field(repr=False)
 
 
 def _uniform_frame(rng, p, q, n):
@@ -310,7 +298,7 @@ def make_mask(
     if static:
         frames = [frames[0]] * t
     mask = np.stack(frames, axis=-1)
-    return SamplingMask(mask=mask, kind=kind, param=float(param), seed=int(seed), static=static)
+    return SamplingMask(mask)
 
 
 @dataclass(frozen=True)

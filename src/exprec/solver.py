@@ -7,13 +7,13 @@ normal equations.  CG runs on the image-domain variable ``z = F^H x``,
 where the penalty is the per-pixel T x T block from fastops and the data
 term ``sum_c conj(S_c) F^H M F S_c`` costs one FFT pair per coil.
 
-Internal consistency note: the weight Gram, the smoothed objective and
-the quadratic penalty all refer to the same spatially circularized
-lifting (the hybrid scheme: circular along space, linear along time).
-That makes the reported smoothed objective provably non-increasing at
-fixed eps: the weight step majorizes it, the CG step never increases the
-majorizer from its warm start.  The exact-support Gram remains available
-through ``fastops.assemble_gram`` for diagnostics.
+The weights live on one valid-shift set, the valid linear window.  The
+weight Gram, the smoothed objective and the quadratic penalty all refer
+to the same spatially circularized lifting over it (circular along space,
+linear along time).  That makes the reported smoothed objective provably
+non-increasing at fixed eps: the weight step majorizes it, the CG step
+never increases the majorizer from its warm start.  The exact-support
+Gram remains available through ``fastops.assemble_gram`` for diagnostics.
 """
 
 from __future__ import annotations
@@ -98,19 +98,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class WeightSet:
-    """Filter bank h_i (rows of H^(1/2)) over the valid-shift set.
+    """Filter bank h_i (rows of H^(1/2)) over the valid linear window.
 
     ``filters`` has shape (M, k, wP, wQ) with the spatial window anchored
-    at ``spatial_offset`` on the grid; ``eigenvalues`` are the Gram
-    eigenvalues the bank was derived from (ascending).
+    at ``spatial_offset`` on the grid of ``spec``; ``eigenvalues`` are the
+    clamped Gram eigenvalues the bank was derived from (ascending).
     """
 
     filters: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
-    eps: float
-    p: float
     spec: FilterSpec
-    restriction: str
     spatial_offset: tuple
 
     @property
@@ -127,22 +124,17 @@ class WeightSet:
         return hh.conj().T @ hh
 
     @classmethod
-    def empty(cls, spec, restriction="valid_linear"):
-        mode = "hybrid" if restriction == "full_circular" else "linear"
-        _, wp, wq = spec.row_shape(mode)
-        off = spec.spatial_offset(mode)
+    def empty(cls, spec):
+        _, wp, wq = spec.row_shape("linear")
         return cls(
             filters=np.zeros((0, spec.k, wp, wq), dtype=np.complex128),
             eigenvalues=np.zeros(0),
-            eps=0.0,
-            p=1.0,
             spec=spec,
-            restriction=restriction,
-            spatial_offset=off,
+            spatial_offset=spec.spatial_offset("linear"),
         )
 
 
-def _weights_from_eig(eigvals, eigvecs, eps, p, spec, restriction):
+def _weights_from_eig(eigvals, eigvecs, eps, p, spec):
     lam_max = float(eigvals[-1]) if eigvals.size else 0.0
     lam = eigvals.copy()
     if lam.size and lam[0] < -EIG_CLAMP_REL * max(lam_max, 0.0):
@@ -157,25 +149,21 @@ def _weights_from_eig(eigvals, eigvecs, eps, p, spec, restriction):
         raise SolverError("zero eigenvalue with eps = 0 makes the weight power singular")
     coef = shifted**expo
     half = coef[:, None] * eigvecs.conj().T
-    mode = "hybrid" if restriction == "full_circular" else "linear"
-    _, wp, wq = spec.row_shape(mode)
+    _, wp, wq = spec.row_shape("linear")
     filters = half.reshape(half.shape[0], spec.k, wp, wq)
     return WeightSet(
         filters=filters,
         eigenvalues=lam,
-        eps=float(eps),
-        p=float(p),
         spec=spec,
-        restriction=restriction,
-        spatial_offset=spec.spatial_offset(mode),
+        spatial_offset=spec.spatial_offset("linear"),
     )
 
 
-def _gram_eig(rho_hat, spec, restriction, gram):
+def _gram_eig(rho_hat, spec, gram):
     if gram == "circulant":
-        r = fastops.assemble_gram_circulant(rho_hat, spec, restriction)
+        r = fastops.assemble_gram_circulant(rho_hat, spec)
     elif gram == "exact":
-        r = fastops.assemble_gram(rho_hat, spec, restriction)
+        r = fastops.assemble_gram(rho_hat, spec)
     else:
         raise ValueError(f"unknown gram kind {gram!r}")
     try:
@@ -186,18 +174,13 @@ def _gram_eig(rho_hat, spec, restriction, gram):
 
 
 def weight_update(
-    rho_hat,
-    spec: FilterSpec,
-    p: float,
-    eps: float,
-    restriction: str = "valid_linear",
-    gram: str = "circulant",
+    rho_hat, spec: FilterSpec, p: float, eps: float, gram: str = "circulant"
 ) -> WeightSet:
     """Eigendecompose the Gram and return the filter bank H^(1/2)."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    eigvals, eigvecs = _gram_eig(rho_hat, spec, restriction, gram)
-    return _weights_from_eig(eigvals, eigvecs, eps, p, spec, restriction)
+    eigvals, eigvecs = _gram_eig(rho_hat, spec, gram)
+    return _weights_from_eig(eigvals, eigvecs, eps, p, spec)
 
 
 @dataclass
@@ -355,13 +338,7 @@ def _smoothed_reg(eigvals, eps, p):
     return float(np.sum((lam + eps) ** (p / 2.0)) / p)
 
 
-def irls_solve(
-    meas,
-    spec: FilterSpec,
-    cfg: SolverConfig,
-    restriction: str = "valid_linear",
-    init=None,
-):
+def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig, init=None):
     """Run the alternating weight / least-squares iteration.
 
     Starts from the zero-filled volume (the adjoint of the data) unless an
@@ -378,7 +355,7 @@ def irls_solve(
         x = np.asarray(getattr(init, "data", init), dtype=np.complex128).copy()
         if x.shape != grid.shape:
             raise ValueError(f"init shape {x.shape} does not match grid {grid.shape}")
-    eigvals, eigvecs = _gram_eig(x, spec, restriction, "circulant")
+    eigvals, eigvecs = _gram_eig(x, spec, "circulant")
     lam_max0 = max(float(eigvals[-1]), 0.0)
     eps = lam_max0 / 100.0 if cfg.eps0 == "auto" else float(cfg.eps0)
     if eps <= 0:
@@ -391,12 +368,12 @@ def irls_solve(
     for n in range(1, cfg.outer_iters + 1):
         tic = time.perf_counter()
         warm_obj = _smoothed_reg(eigvals, eps, cfg.p) + 0.5 * cfg.lam * data_sq
-        weights = _weights_from_eig(eigvals, eigvecs, eps, cfg.p, spec, restriction)
+        weights = _weights_from_eig(eigvals, eigvecs, eps, cfg.p, spec)
         vol, cg = ls_update(
             weights, meas, cfg.lam, warm_start=x, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol
         )
         x = vol.data
-        eigvals, eigvecs = _gram_eig(x, spec, restriction, "circulant")
+        eigvals, eigvecs = _gram_eig(x, spec, "circulant")
         data_sq = _data_residual_sq(x, meas, grid)
         reg = _smoothed_reg(eigvals, eps, cfg.p)
         data_term = 0.5 * cfg.lam * data_sq

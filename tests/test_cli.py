@@ -119,6 +119,13 @@ class TestErrors:
             run("transmogrify", "--config", "x", "--out", tmp_path)
         assert info.value.code == 64
 
+    def test_threads_flag_is_usage_error(self, tmp_path, tiny_config):
+        # numpy loads BLAS before arguments are parsed, so threads are set by
+        # OMP_NUM_THREADS / OPENBLAS_NUM_THREADS at launch, never by a flag
+        with pytest.raises(SystemExit) as info:
+            run("recon", "--config", tiny_config, "--out", tmp_path, "--threads", "1")
+        assert info.value.code == 64
+
     def test_missing_config_file(self, tmp_path):
         assert run("simulate", "--config", tmp_path / "absent.json", "--out", tmp_path) == 65
 

@@ -317,20 +317,19 @@ class TestComplexity:
         """Doubling P, Q at fixed filter fraction should cost about 4x
         (FFT-dominated), far from the 16x of dense construction."""
 
-        def timed(p, n1):
+        cases = []
+        for p, n1 in ((64, 58), (128, 116)):
             g = Grid(p, p, 6)
-            spec = FilterSpec(n1, n1, 2, g)
-            vol = random_volume(g, 20)
-            fastops.assemble_gram_circulant(vol, spec, "valid_linear")  # warm up
-            best = np.inf
-            for _ in range(3):
+            cases.append((random_volume(g, 20), FilterSpec(n1, n1, 2, g)))
+        # alternate the two sizes so both see the same process state, and
+        # keep the best of several runs each (the first pair warms up)
+        best = [np.inf, np.inf]
+        for _ in range(6):
+            for i, (vol, spec) in enumerate(cases):
                 t0 = time.perf_counter()
                 fastops.assemble_gram_circulant(vol, spec, "valid_linear")
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        t_small = timed(64, 58)
-        t_big = timed(128, 116)
+                best[i] = min(best[i], time.perf_counter() - t0)
+        t_small, t_big = best
         ratio = t_big / t_small
         print(f"circulant gram scaling 64->128: {ratio:.2f}x")
         assert ratio < 8.0

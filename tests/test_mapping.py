@@ -172,6 +172,23 @@ class TestKtLowRank:
         err_lr = np.linalg.norm(res.volume.data - kt.data)
         assert err_lr < err_zf
 
+    @pytest.mark.parametrize("iters", [1, 6])
+    def test_one_forward_per_sweep(self, monkeypatch, iters):
+        # the residual that scores sweep n is the gradient residual of sweep n + 1
+        g = Grid(8, 8, 4)
+        _, _, meas = make_measurements(g, fraction=0.5, c=2, seed=3)
+        calls = []
+        real_forward = simulate.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "forward", counting_forward)
+        res = recon_ktlowrank(meas, mu=0.05, iters=iters)
+        assert len(calls) == iters + 1
+        assert len(res.objective_trace) == iters
+
     def test_invalid_args(self):
         g = Grid(8, 8, 3)
         _, _, meas = make_measurements(g)

@@ -76,7 +76,7 @@ class TestWeightMath:
         spec = FilterSpec(2, 1, 1, g)  # |Gamma| = 2 rows in valid_linear? keep shapes simple
         eigvals = np.array([4.0, 4.0])
         eigvecs = np.eye(2, dtype=complex)
-        w = solver._weights_from_eig(eigvals, eigvecs, 0.0, 1.0, spec, "valid_linear")
+        w = solver._weights_from_eig(eigvals, eigvecs, 0.0, 1.0, spec)
         h = w.weight_matrix()
         assert np.allclose(h, 0.5 * np.eye(2), atol=1e-14)
         assert np.allclose(np.abs(w.half_matrix()), np.eye(2) / np.sqrt(2.0), atol=1e-14)
@@ -85,8 +85,7 @@ class TestWeightMath:
     def test_identity_gram_fixed_point(self, p):
         g = Grid(2, 1, 2)
         spec = FilterSpec(2, 1, 1, g)
-        w = solver._weights_from_eig(np.ones(2), np.eye(2, dtype=complex), 0.0, p, spec,
-                                     "valid_linear")
+        w = solver._weights_from_eig(np.ones(2), np.eye(2, dtype=complex), 0.0, p, spec)
         assert np.allclose(w.weight_matrix(), np.eye(2), atol=1e-14)
 
     def test_reconstruction_matches_dense_power(self):
