@@ -132,7 +132,7 @@ def cmd_simulate(cfg, outdir):
     return EXIT_OK
 
 
-def _load_measurements(cfg, outdir):
+def _load_measurements(outdir):
     import numpy as np
 
     from .simulate import CoilSet, Measurements, SamplingMask
@@ -140,9 +140,7 @@ def _load_measurements(cfg, outdir):
     b = _read(outdir, "meas.ktar")
     mask = SamplingMask(_read(outdir, "mask.ktar") > 0.5)
     coils = CoilSet(_read(outdir, "coils.ktar").astype(np.complex128))
-    return Measurements(
-        b=b.astype(np.complex128), mask=mask, coils=coils, noise_sigma=cfg.doc["noise"]["sigma"]
-    )
+    return Measurements(b=b.astype(np.complex128), mask=mask, coils=coils)
 
 
 def cmd_recon(cfg, outdir, method):
@@ -151,7 +149,7 @@ def cmd_recon(cfg, outdir, method):
     from .mapping import recon_ktlowrank, recon_zerofill
     from .solver import irls_solve
 
-    meas = _load_measurements(cfg, outdir)
+    meas = _load_measurements(outdir)
     status = EXIT_OK
     if method == "zerofill":
         vol = recon_zerofill(meas)

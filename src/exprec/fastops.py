@@ -7,8 +7,6 @@ building blocks:
 * ``hybrid_conv``: action of the hybrid lifted matrix on a filter, i.e.
   circular convolution along space and valid (linear) convolution along
   time, computed with per-frame FFTs and never forming the matrix;
-* ``cross_corr``: full circular spatial cross-correlation of two frames,
-  ``g_ab[kappa] = sum_s a[s + kappa] conj(b[s])``;
 * ``assemble_gram``: the exact Gram ``R = T(x) T(x)*`` over the
   valid-shift rows (restriction picks full circular rows or the valid
   linear window), assembled from FFT masked correlations so no lifted
@@ -24,6 +22,9 @@ building blocks:
   spatial lags, Nt temporal taps) into one T x T block per pixel, so in the
   image domain ``F^H x`` one application is a batched matmul with no FFT.
   ``apply_normal`` wraps it in the unitary DFT for k-space callers.
+
+The dense references for these kernels (the lifted matrix, its adjoint and
+the filter-bank penalty ``lifted_penalty``) live in ``lifting``.
 
 The exact and circulant Grams agree exactly when the spatial support
 covers the whole grid; their relative gap is the modeling error of the
@@ -43,20 +44,13 @@ __all__ = [
     "GramSizeError",
     "NormalMultipliers",
     "hybrid_conv",
-    "valid_conv",
-    "cross_corr",
     "assemble_gram",
     "assemble_gram_circulant",
     "build_normal_multipliers",
     "multiplier_fields",
-    "multiplier_fields_from_filters",
     "apply_block",
     "apply_normal",
     "penalty_value",
-    "apply_filter_corr",
-    "apply_filter_corr_adjoint",
-    "penalty_apply_direct",
-    "penalty_value_direct",
 ]
 
 RESTRICTIONS = ("full_circular", "valid_linear")
@@ -99,32 +93,6 @@ def hybrid_conv(rho_hat, c, spec: FilterSpec):
     # output frame tau sums tap lt times input frame tau + Nt - 1 - lt
     frames = np.arange(k)[:, None] + nt - 1 - np.arange(nt)[None, :]
     return np.fft.ifft2(np.einsum("pqkl,lpq->kpq", fx[:, :, frames], fc), axes=(1, 2))
-
-
-def valid_conv(rho_hat, c, spec: FilterSpec):
-    """Linear (valid) convolution samples, shape ``(k, M1, M2)``.
-
-    Inside the valid window no spatial index wraps, so this is just the
-    hybrid result restricted to that window.
-    """
-    full = hybrid_conv(rho_hat, c, spec)
-    return full[:, spec.n1 - 1 :, spec.n2 - 1 :]
-
-
-def cross_corr(rho_hat, a: int, b: int):
-    """Circular spatial cross-correlation of frames a and b.
-
-    ``g[kappa] = sum_s x_a[s + kappa] conj(x_b[s])`` over the full grid,
-    computed with two FFTs and one inverse FFT.
-    """
-    x = _as_volume(rho_hat)
-    t = x.shape[2]
-    for name, idx in (("a", a), ("b", b)):
-        if not 0 <= idx < t:
-            raise IndexError(f"frame index {name}={idx} out of range [0, {t})")
-    fa = np.fft.fft2(x[:, :, a])
-    fb = np.fft.fft2(x[:, :, b])
-    return np.fft.ifft2(fa * np.conj(fb))
 
 
 @dataclass(frozen=True)
@@ -286,21 +254,6 @@ def _filter_bank(weights):
     return filters
 
 
-def multiplier_fields_from_filters(filters, spec: FilterSpec, offset=(0, 0)):
-    """Literal multiplier fields, one DFT per filter slice (reference path)."""
-    p, q = spec.grid.p, spec.grid.q
-    m, k, wp, wq = filters.shape
-    ox, oy = offset
-    fields = np.zeros((k, k, p, q), dtype=np.complex128)
-    for lo in range(0, m, 64):
-        chunk = filters[lo : lo + 64]
-        padded = np.zeros((chunk.shape[0], k, p, q), dtype=np.complex128)
-        padded[:, :, ox : ox + wp, oy : oy + wq] = chunk
-        hhat = np.fft.fft2(padded, axes=(2, 3))
-        fields += np.einsum("mapq,mbpq->abpq", np.conj(hhat), hhat)
-    return fields
-
-
 def multiplier_fields(weights, spec: FilterSpec):
     """k x k fields ``sum_i conj(Hhat_i_tau) * Hhat_i_tau'`` via Gram profiles.
 
@@ -361,70 +314,3 @@ def penalty_value(mult: NormalMultipliers, x):
     """Quadratic penalty 0.5 * sum_i ||A_i x||^2 via the collapsed operator."""
     x = np.asarray(x, dtype=np.complex128)
     return 0.5 * float(np.vdot(x, apply_normal(mult, x)).real)
-
-
-# ---------------------------------------------------------------------------
-# Direct (per-filter) penalty path, the reference for the collapse
-
-
-def _pad_filter(h, spec, offset):
-    k, wp, wq = h.shape
-    p, q = spec.grid.p, spec.grid.q
-    ox, oy = offset
-    hp = np.zeros((k, p, q), dtype=np.complex128)
-    hp[:, ox : ox + wp, oy : oy + wq] = h
-    return hp
-
-
-def apply_filter_corr(h, x, spec: FilterSpec, offset=(0, 0)):
-    """Correlate one weight filter with the volume over circular lags.
-
-    ``out[lt, l] = sum_{m, tau} h[tau, m] x[m - l, tau + Nt - 1 - lt]``
-    for temporal taps lt in [0, Nt) and all spatial lags l.
-    """
-    nt, k = spec.nt, spec.k
-    hp = _pad_filter(np.asarray(h, dtype=np.complex128), spec, offset)
-    hhat = np.fft.fft2(hp, axes=(1, 2))
-    xrev = np.conj(np.fft.fft2(np.conj(x), axes=(0, 1)))
-    out = np.zeros((nt, spec.grid.p, spec.grid.q), dtype=np.complex128)
-    for lt in range(nt):
-        acc = np.zeros_like(out[0])
-        for tau in range(k):
-            acc += hhat[tau] * xrev[:, :, tau + nt - 1 - lt]
-        out[lt] = np.fft.ifft2(acc)
-    return out
-
-
-def apply_filter_corr_adjoint(h, y, spec: FilterSpec, offset=(0, 0)):
-    """Adjoint of ``apply_filter_corr`` for one filter."""
-    nt, k = spec.nt, spec.k
-    hp = _pad_filter(np.asarray(h, dtype=np.complex128), spec, offset)
-    hhat_conj = np.fft.fft2(np.conj(hp), axes=(1, 2))
-    yrev = np.conj(np.fft.fft2(np.conj(np.asarray(y, dtype=np.complex128)), axes=(1, 2)))
-    out = np.zeros(spec.grid.shape, dtype=np.complex128)
-    for lt in range(nt):
-        part = yrev[lt]
-        for tau in range(k):
-            out[:, :, tau + nt - 1 - lt] += np.fft.ifft2(hhat_conj[tau] * part)
-    return out
-
-
-def penalty_apply_direct(weights, spec: FilterSpec, x):
-    """Filter-by-filter sum_i A_i*(A_i x); slow reference for apply_normal."""
-    filters = _filter_bank(weights)
-    offset = getattr(weights, "spatial_offset", (0, 0))
-    x = np.asarray(x, dtype=np.complex128)
-    out = np.zeros_like(x)
-    for h in filters:
-        out += apply_filter_corr_adjoint(h, apply_filter_corr(h, x, spec, offset), spec, offset)
-    return out
-
-
-def penalty_value_direct(weights, spec: FilterSpec, x):
-    filters = _filter_bank(weights)
-    offset = getattr(weights, "spatial_offset", (0, 0))
-    total = 0.0
-    for h in filters:
-        y = apply_filter_corr(h, np.asarray(x, dtype=np.complex128), spec, offset)
-        total += float(np.vdot(y, y).real)
-    return 0.5 * total

@@ -13,9 +13,11 @@ sampled on the valid-shift set.  Two shift semantics are supported:
 
 Rows are ordered frame-major, C order over ``(frame, x, y)`` with output
 frames ``Nt-1 .. T-1``; columns are C order over ``(lt, lx, ly)`` with
-the support anchored at the zero corner.  Everything here materializes
-dense matrices and is intended as ground truth for ``fastops``, not for
-scale.
+the support anchored at the zero corner.  ``lifted_penalty`` applies the
+weight filter bank to the hybrid lifting with full-grid spatial support,
+the dense form of the collapsed penalty operator in ``fastops``.
+Everything here materializes dense matrices and is intended as ground
+truth for ``fastops``, not for scale.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "LiftedSizeError",
     "build_lifted",
     "apply_lifted_adjoint",
+    "lifted_penalty",
     "annihilation_certificate",
 ]
 
@@ -187,6 +190,28 @@ def apply_lifted_adjoint(y, spec: FilterSpec, mode: str = "linear") -> KtVolume:
     out = np.zeros(spec.grid.shape, dtype=np.complex128)
     np.add.at(out, (ix, iy, it), y)
     return KtVolume(spec.grid, out)
+
+
+def lifted_penalty(rho_hat: KtVolume, filters, spec: FilterSpec, offset=(0, 0)):
+    """Filter-bank penalty ``(sum_i A_i* A_i x, 0.5 sum_i ||A_i x||^2)``.
+
+    ``filters`` is an ``(M, k, wP, wQ)`` bank whose windows sit at grid
+    index ``offset``; ``A_i x`` correlates filter i with the volume over
+    every circular spatial lag and the Nt temporal taps of ``spec``, i.e.
+    row i of the zero-padded bank times the hybrid lifting with full-grid
+    spatial support.  Returns the volume ``sum_i A_i* A_i x`` and the value.
+    """
+    g = spec.grid
+    full = FilterSpec(g.p, g.q, spec.nt, g)
+    filters = np.asarray(filters, dtype=np.complex128)
+    m, k, wp, wq = filters.shape
+    ox, oy = offset
+    hpad = np.zeros((m, k, g.p, g.q), dtype=np.complex128)
+    hpad[:, :, ox : ox + wp, oy : oy + wq] = filters
+    hpad = hpad.reshape(m, -1)
+    ht = hpad @ build_lifted(rho_hat, full, "hybrid").matrix
+    value = 0.5 * float(np.vdot(ht, ht).real)
+    return apply_lifted_adjoint(hpad.conj().T @ ht, full, "hybrid"), value
 
 
 def annihilation_certificate(

@@ -303,12 +303,11 @@ def make_mask(
 
 @dataclass(frozen=True)
 class Measurements:
-    """Sampled multichannel k-t data with its mask, coils and noise level."""
+    """Sampled multichannel k-t data with its mask and coils."""
 
     b: np.ndarray = field(repr=False)  # (C, P, Q, T) complex, zero off-mask
     mask: SamplingMask
     coils: CoilSet
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.complex128)
@@ -376,4 +375,4 @@ def simulate_measurements(
         sampled = np.abs(clean[:, mask.mask])
         sigma_abs = float(sigma * sampled.mean())
     noisy = add_noise(clean, mask, sigma_abs, seed=seed)
-    return Measurements(b=noisy, mask=mask, coils=coils, noise_sigma=sigma_abs)
+    return Measurements(b=noisy, mask=mask, coils=coils)

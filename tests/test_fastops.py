@@ -6,7 +6,7 @@ import pytest
 
 from exprec import fastops
 from exprec.core import Grid, ImageSeries, KtVolume, dft2_forward
-from exprec.lifting import FilterSpec, build_lifted
+from exprec.lifting import FilterSpec, build_lifted, lifted_penalty
 
 
 def random_volume(grid, seed=0):
@@ -46,7 +46,7 @@ class TestHybridConv:
         vol = random_volume(g, 4)
         c = random_filter(spec, 5)
         lifted = build_lifted(vol, spec, "linear")
-        got = fastops.valid_conv(vol, c, spec).ravel()
+        got = fastops.hybrid_conv(vol, c, spec)[:, spec.n1 - 1 :, spec.n2 - 1 :].ravel()
         want = lifted.matrix @ c.ravel()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -68,44 +68,19 @@ class TestHybridConv:
             fastops.hybrid_conv(random_volume(g), np.zeros((2, 2)), spec)
 
 
-class TestCrossCorr:
-    def test_constant_image_autocorrelation(self):
-        g = Grid(4, 4, 2)
-        kt = dft2_forward(ImageSeries(g, np.ones(g.shape)))
-        gcc = fastops.cross_corr(kt, 0, 0)
-        assert gcc[0, 0] == pytest.approx(g.p * g.q)
-        rest = gcc.copy()
-        rest[0, 0] = 0
-        assert np.abs(rest).max() < 1e-12
-
-    def test_zero_lag_is_energy(self):
-        g = Grid(6, 6, 3)
-        vol = random_volume(g, 6)
-        gcc = fastops.cross_corr(vol, 1, 1)
-        energy = np.linalg.norm(vol.data[:, :, 1]) ** 2
-        assert gcc[0, 0].real == pytest.approx(energy, rel=1e-12)
-        assert abs(gcc[0, 0].imag) < 1e-10 * energy
-
-    def test_matches_brute_force(self):
-        g = Grid(6, 6, 3)
-        vol = random_volume(g, 7)
-        a, b = 0, 2
-        got = fastops.cross_corr(vol, a, b)
-        xa, xb = vol.data[:, :, a], vol.data[:, :, b]
-        want = np.zeros((g.p, g.q), dtype=complex)
-        for kx in range(g.p):
-            for ky in range(g.q):
-                acc = 0.0j
-                for sx in range(g.p):
-                    for sy in range(g.q):
-                        acc += xa[(sx + kx) % g.p, (sy + ky) % g.q] * np.conj(xb[sx, sy])
-                want[kx, ky] = acc
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-
-    def test_index_out_of_range(self):
-        g = Grid(4, 4, 2)
-        with pytest.raises(IndexError):
-            fastops.cross_corr(random_volume(g), 0, 2)
+def random_gram_cases():
+    """Five random (volume, spec) pairs, grids 4-8 x 4-8 x 3-4."""
+    cases = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        p, q = rng.integers(4, 9, size=2)
+        t = int(rng.integers(3, 5))
+        n1 = int(rng.integers(1, 4))
+        n2 = int(rng.integers(1, 4))
+        nt = int(rng.integers(1, min(3, t) + 1))
+        g = Grid(int(p), int(q), t)
+        cases.append((random_volume(g, seed + 100), FilterSpec(min(n1, p), min(n2, q), nt, g)))
+    return cases
 
 
 class TestAssembleGram:
@@ -113,40 +88,24 @@ class TestAssembleGram:
         ("full_circular", "hybrid"), ("valid_linear", "linear"),
     ])
     def test_matches_explicit_gram(self, restriction, mode):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            p, q = rng.integers(4, 9, size=2)
-            t = int(rng.integers(3, 5))
-            n1 = int(rng.integers(1, 4))
-            n2 = int(rng.integers(1, 4))
-            nt = int(rng.integers(1, min(3, t) + 1))
-            g = Grid(int(p), int(q), t)
-            spec = FilterSpec(min(n1, p), min(n2, q), nt, g)
-            vol = random_volume(g, seed + 100)
+        for vol, spec in random_gram_cases():
             got = fastops.assemble_gram(vol, spec, restriction).matrix
             tm = build_lifted(vol, spec, mode).matrix
             want = tm @ tm.conj().T
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_circulant_gram_formula(self):
-        # block (tau, tau') samples summed frame-pair cross-correlations at
-        # spatial shift differences
-        g = Grid(5, 6, 4)
-        spec = FilterSpec(2, 3, 2, g)
-        vol = random_volume(g, 42)
-        got = fastops.assemble_gram_circulant(vol, spec, "full_circular").matrix
-        nr = g.p * g.q
-        fx = np.repeat(np.arange(g.p), g.q)
-        fy = np.tile(np.arange(g.q), g.p)
-        want = np.zeros_like(got)
-        for tau in range(spec.k):
-            for tau2 in range(spec.k):
-                gs = np.zeros((g.p, g.q), dtype=complex)
-                for lt in range(spec.nt):
-                    gs += fastops.cross_corr(vol, tau + spec.nt - 1 - lt, tau2 + spec.nt - 1 - lt)
-                blk = gs[(fx[:, None] - fx[None, :]) % g.p, (fy[:, None] - fy[None, :]) % g.q]
-                want[tau * nr : (tau + 1) * nr, tau2 * nr : (tau2 + 1) * nr] = blk
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        # the circulant Gram is T T* of the hybrid lifting with full-grid
+        # spatial support, restricted to the valid-shift rows
+        for vol, spec in random_gram_cases():
+            g = spec.grid
+            tm = build_lifted(vol, FilterSpec(g.p, g.q, spec.nt, g), "hybrid").matrix
+            for restriction, mode in (("full_circular", "hybrid"), ("valid_linear", "linear")):
+                got = fastops.assemble_gram_circulant(vol, spec, restriction).matrix
+                ft, fx, fy = spec.row_indices(mode)
+                rows = tm[((ft - spec.nt + 1) * g.p + fx) * g.q + fy]
+                want = rows @ rows.conj().T
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_circulant_equals_exact_at_full_support(self):
         g = Grid(5, 4, 3)
@@ -233,17 +192,25 @@ class TestNormalMultipliers:
                     assert np.abs(fields[a, b]).max() < 1e-12
 
     def test_profile_route_matches_literal_formula(self):
+        # at Nt = 1 the per-pixel block is the k x k field matrix itself;
+        # a volume nonzero in frame t alone reads out block column t
         g = Grid(8, 7, 4)
-        spec = FilterSpec(4, 3, 2, g)
+        spec = FilterSpec(4, 3, 1, g)
         rng = np.random.default_rng(12)
         shape = (9, spec.k, spec.m1, spec.m2)
         w = SimpleNamespace(
             filters=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
             spatial_offset=spec.spatial_offset("linear"),
         )
+        mult = fastops.build_normal_multipliers(w, spec)
         fields = fastops.multiplier_fields(w, spec)
-        ref = fastops.multiplier_fields_from_filters(w.filters, spec, w.spatial_offset)
-        assert np.abs(fields - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.array_equal(mult.block, fields.transpose(2, 3, 0, 1))
+        for t in range(g.t):
+            x = np.zeros(g.shape, dtype=complex)
+            x[:, :, t] = rng.standard_normal(g.shape[:2]) + 1j * rng.standard_normal(g.shape[:2])
+            want = lifted_penalty(KtVolume(g, x), w.filters, spec, w.spatial_offset)[0].data
+            got = fastops.apply_normal(mult, x)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_collapsed_matches_direct(self):
         g = Grid(8, 8, 4)
@@ -255,12 +222,11 @@ class TestNormalMultipliers:
             spatial_offset=spec.spatial_offset("linear"),
         )
         mult = fastops.build_normal_multipliers(w, spec)
-        x = random_volume(g, 14).data
-        got = fastops.apply_normal(mult, x)
-        want = fastops.penalty_apply_direct(w, spec, x)
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-        assert abs(fastops.penalty_value(mult, x) - fastops.penalty_value_direct(w, spec, x)) \
-            <= 1e-10 * abs(fastops.penalty_value_direct(w, spec, x))
+        vol = random_volume(g, 14)
+        got = fastops.apply_normal(mult, vol.data)
+        want, value = lifted_penalty(vol, w.filters, spec, w.spatial_offset)
+        assert np.abs(got - want.data).max() <= 1e-10 * np.abs(want.data).max()
+        assert abs(fastops.penalty_value(mult, vol.data) - value) <= 1e-10 * abs(value)
 
     @pytest.mark.parametrize("nt", [1, 2, 5])
     def test_image_domain_block_matches_direct(self, nt):
@@ -277,10 +243,10 @@ class TestNormalMultipliers:
         assert mult.block.shape == (g.p, g.q, g.t, g.t)
         assert np.abs(mult.block - np.conj(np.swapaxes(mult.block, 2, 3))).max() \
             <= 1e-12 * np.abs(mult.block).max()
-        x = random_volume(g, 31).data
-        z = np.fft.ifft2(x, axes=(0, 1), norm="ortho")
+        vol = random_volume(g, 31)
+        z = np.fft.ifft2(vol.data, axes=(0, 1), norm="ortho")
         got = np.fft.fft2(fastops.apply_block(mult, z), axes=(0, 1), norm="ortho")
-        want = fastops.penalty_apply_direct(w, spec, x)
+        want = lifted_penalty(vol, w.filters, spec, w.spatial_offset)[0].data
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_adjoint_property(self):

@@ -239,4 +239,7 @@ class TestNoise:
         mask = make_mask(g, "uniform_random", 0.4, seed=10)
         meas = simulate_measurements(kt, coils, mask, sigma=0.05, seed=11)
         assert np.abs(meas.b[:, ~mask.mask]).max() == 0.0
-        assert meas.noise_sigma > 0
+        # relative sigma scales with the mean sampled magnitude
+        clean = simulate.forward(kt, coils, mask)
+        noisy = add_noise(clean, mask, 0.05 * np.abs(clean[:, mask.mask]).mean(), seed=11)
+        assert np.array_equal(meas.b, noisy * mask.mask[None])
