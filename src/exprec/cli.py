@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 EXIT_OK = 0
@@ -168,10 +169,23 @@ def cmd_recon(cfg, outdir, method):
         vol, report = irls_solve(meas, cfg.filter_spec, cfg.solver_config)
         outdir.mkdir(parents=True, exist_ok=True)
         report.to_csv(outdir / "report_proposed.csv")
+        _warn_cg_stops(report.records)
         if not report.converged:
             status = EXIT_NOT_CONVERGED
     _write(outdir, f"recon_{method}.ktar", vol.data, cfg)
     return status
+
+
+def _warn_cg_stops(records):
+    """One stderr line counting the outer steps whose CG stopped short of cg_tol."""
+    missed = Counter(r.cg_stop for r in records if r.cg_stop != "tol")
+    if missed:
+        reasons = ", ".join(f"{stop} {n}" for stop, n in sorted(missed.items()))
+        print(
+            f"exprec: CG did not reach cg_tol in {sum(missed.values())} of "
+            f"{len(records)} steps ({reasons})",
+            file=sys.stderr,
+        )
 
 
 def _support_from_truth(outdir):

@@ -287,11 +287,14 @@ def multiplier_fields(weights, spec: FilterSpec):
 
 def build_normal_multipliers(weights, spec: FilterSpec) -> NormalMultipliers:
     """Scatter the multiplier fields into one T x T block per pixel."""
-    fields = multiplier_fields(weights, spec).transpose(2, 3, 0, 1)
+    fields = multiplier_fields(weights, spec)
     k, t = spec.k, spec.grid.t
     block = np.zeros(spec.grid.shape + (t,), dtype=np.complex128)
+    # add through the (T, T, P, Q) view of the block: each (P, Q) plane of
+    # fields is read contiguously, and no transposed copy of fields is made
+    planes = block.transpose(2, 3, 0, 1)
     for s in range(spec.nt):
-        block[:, :, s : s + k, s : s + k] += fields
+        planes[s : s + k, s : s + k] += fields
     return NormalMultipliers(block, spec)
 
 

@@ -3,9 +3,13 @@
 Alternates a weight update (eigendecomposition of the valid-shift Gram,
 filters = rows of ``(Lambda + eps I)^(p/4 - 1/2) U*``) with a weighted
 least-squares update solved matrix-free by conjugate gradients on the
-normal equations.  CG runs on the image-domain variable ``z = F^H x``,
-where the penalty is the per-pixel T x T block from fastops and the data
-term ``sum_c conj(S_c) F^H M F S_c`` costs one FFT pair per coil.
+normal equations.  With one uniform coil the data term is the k-space mask
+M, so CG runs in k-space on ``fastops.apply_normal + lam M`` (one FFT pair
+per iteration) with a Jacobi preconditioner, the exact diagonal of that
+operator.  With several coils CG runs unpreconditioned on the image-domain
+variable ``z = F^H x``, where the penalty is the per-pixel T x T block from
+fastops and the data term ``sum_c conj(S_c) F^H M F S_c`` costs one FFT
+pair per coil.
 
 The weights live on one valid-shift set, the valid linear window.  The
 weight Gram, the smoothed objective and the quadratic penalty all refer
@@ -191,15 +195,29 @@ class CgResult:
     stop: str  # tol, maxiter, nonpositive_curvature, stagnation or zero_rhs
 
 
-def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200) -> CgResult:
-    """Conjugate gradients for a Hermitian PSD operator on complex arrays."""
+def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult:
+    """Conjugate gradients for a Hermitian PSD operator on complex arrays.
+
+    ``inv_diag`` is an optional Jacobi preconditioner: the elementwise inverse
+    of the operator's diagonal, positive everywhere.  Either way CG stops on
+    the unpreconditioned relative residual ``||rhs - op(x)|| / ||rhs||``.
+    """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return CgResult(np.zeros_like(rhs), 0, 0.0, "zero_rhs")
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.complex128, copy=True)
+
+    def precondition(r, rs):
+        """(M^-1 r, r^H M^-1 r) for rs = r^H r; M = I without ``inv_diag``."""
+        if inv_diag is None:
+            return r, rs
+        z = inv_diag * r
+        return z, float(np.vdot(r, z).real)
+
     r = rhs - op(x)
-    pdir = r.copy()
     rs = float(np.vdot(r, r).real)
+    z, rz = precondition(r, rs)
+    pdir = z.copy()
     res = rs**0.5
     best = res
     bad_streak = 0
@@ -212,7 +230,7 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200) -> CgResult:
         if denom <= 0:
             stop = "nonpositive_curvature"  # semidefinite direction; x is best
             break
-        alpha = rs / denom
+        alpha = rz / denom
         x += alpha * pdir
         r -= alpha * ap
         rs_new = float(np.vdot(r, r).real)
@@ -234,8 +252,9 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200) -> CgResult:
             stop = "stagnation"
             break
         best = min(best, res)
-        pdir = r + (rs_new / rs) * pdir
-        rs = rs_new
+        z, rz_new = precondition(r, rs_new)
+        pdir = z + (rz_new / rz) * pdir
+        rz = rz_new
         it += 1
     stop = stop or ("tol" if res / rhs_norm <= tol else "maxiter")
     return CgResult(x, it, res / rhs_norm, stop)
@@ -247,17 +266,28 @@ def _data_residual_sq(x, meas, grid):
 
 
 def _data_normal(z, maps, mask):
-    """sum_c conj(S_c) F^H M F (S_c z); F^H M F z when ``maps`` is None."""
-    if maps is None:
-        d = np.fft.fft2(z, axes=(0, 1), norm="ortho")
-        d *= mask
-        return np.fft.ifft2(d, axes=(0, 1), norm="ortho")
+    """sum_c conj(S_c) F^H M F (S_c z) on an image-domain volume."""
     out = np.zeros_like(z)
     for s in maps:
-        d = _data_normal(z * s[:, :, None], None, mask)
+        d = np.fft.fft2(z * s[:, :, None], axes=(0, 1), norm="ortho")
+        d *= mask
+        d = np.fft.ifft2(d, axes=(0, 1), norm="ortho")
         d *= np.conj(s)[:, :, None]
         out += d
     return out
+
+
+def _jacobi_inverse(mult, lam_mask):
+    """Inverse diagonal of ``apply_normal(mult, .) + lam_mask``; 1 where it is 0.
+
+    F block F^H has the pixel mean of ``block[..., t, t]`` on its diagonal at
+    every k-space point of frame t.  The diagonal is 0 only on an unsampled
+    point under an empty filter bank, where the PSD operator's row is 0 too.
+    """
+    diag = mult.block.diagonal(axis1=2, axis2=3).real.mean(axis=(0, 1)) + lam_mask
+    inv = np.ones_like(diag)
+    np.divide(1.0, diag, out=inv, where=diag > 0)
+    return inv
 
 
 def ls_update(
@@ -270,26 +300,47 @@ def ls_update(
 ):
     """Solve (sum_i A_i* A_i + lam A* A) x = lam A* b by warm-started CG.
 
-    CG runs on z = F^H x; the change of variables is unitary, so iterates
-    and residual norms are those of the k-space solve.  Returns (KtVolume,
-    CgResult) in k-space.  The quadratic objective at the result never
-    exceeds its value at the warm start.
+    With one uniform coil A* A is the k-space mask M, so CG runs in k-space
+    on ``apply_normal + lam M`` (one FFT pair per iteration), preconditioned
+    by that operator's exact diagonal.  With several coils CG runs
+    unpreconditioned on z = F^H x, where the penalty is a per-pixel matmul
+    and the data term costs one FFT pair per coil; the change of variables is
+    unitary, so iterates and residual norms are those of the k-space solve.
+    Returns (KtVolume, CgResult) in k-space.  The quadratic objective at the
+    result never exceeds its value at the warm start.
     """
     spec = weights.spec
     mult = fastops.build_normal_multipliers(weights, spec)
     mask = meas.mask.mask
-    maps = None if simulate._uniform_single_coil(meas.coils) else meas.coils.maps
+    single = simulate._uniform_single_coil(meas.coils)
 
-    rhs = lam * sum(
-        np.conj(s)[:, :, None] * np.fft.ifft2(b * mask, axes=(0, 1), norm="ortho")
-        for s, b in zip(meas.coils.maps, meas.b)
-    )
+    if single:
+        rhs = lam * (meas.b[0] * mask)
+    else:
+        rhs = lam * sum(
+            np.conj(s)[:, :, None] * np.fft.ifft2(b * mask, axes=(0, 1), norm="ortho")
+            for s, b in zip(meas.coils.maps, meas.b)
+        )
     require_finite("ls_update right-hand side lam * A* meas.b", rhs)
-    z0 = None
+    x0 = None
     if warm_start is not None:
         x0 = np.asarray(warm_start, dtype=np.complex128)
         require_finite("ls_update warm_start", x0)
-        z0 = np.fft.ifft2(x0, axes=(0, 1), norm="ortho")
+
+    if single:
+        lam_mask = lam * mask
+
+        def op(x):
+            d = fastops.apply_normal(mult, x)
+            d += lam_mask * x
+            return d
+
+        inv_diag = _jacobi_inverse(mult, lam_mask)
+        result = cg_solve(op, rhs, x0=x0, tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag)
+        return KtVolume(spec.grid, result.x), result
+
+    maps = meas.coils.maps
+    z0 = None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho")
 
     def op(z):
         d = _data_normal(z, maps, mask)

@@ -69,6 +69,20 @@ class TestPipeline:
         assert blob.startswith(b"P5\n")
         assert (out / "renders" / "proposed_t2.pgm.txt").read_text().startswith("label")
 
+    def test_cg_stops_short_of_tol_are_reported(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["solver"]["cg_iters"] = 1
+        path = tmp_path / "short_cg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", path, "--out", out) == 0
+        capsys.readouterr()
+        assert run("recon", "--config", path, "--out", out, "--method", "proposed") in (0, 2)
+        steps = len((out / "report_proposed.csv").read_text().splitlines()) - 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"exprec: CG did not reach cg_tol in {steps} of {steps} steps "
+                       f"(maxiter {steps})"]
+
     def test_phantom_and_mask_commands(self, tmp_path, tiny_config):
         out = tmp_path / "o2"
         assert run("phantom", "--config", tiny_config, "--out", out) == 0

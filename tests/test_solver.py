@@ -199,6 +199,19 @@ class TestCg:
         assert res.stop == "stagnation"
         assert res.iters < 500
 
+    def test_jacobi_preconditioner_on_badly_scaled_system(self):
+        m, rhs = self._spd()
+        scale = np.logspace(-3, 3, m.shape[0])
+        m = scale[:, None] * m * scale[None, :]
+        want = np.linalg.solve(m, rhs)
+        plain = cg_solve(lambda v: m @ v, rhs, tol=1e-10, maxiter=5000)
+        pre = cg_solve(lambda v: m @ v, rhs, tol=1e-10, maxiter=5000,
+                       inv_diag=1.0 / np.diag(m).real)
+        assert pre.stop == "tol"
+        assert pre.rel_residual <= 1e-10
+        assert np.linalg.norm(pre.x - want) <= 1e-8 * np.linalg.norm(want)
+        assert pre.iters < plain.iters
+
     def test_stop_zero_rhs(self):
         m, rhs = self._spd()
         res = cg_solve(lambda v: m @ v, np.zeros_like(rhs), x0=rhs, tol=1e-12)
@@ -272,19 +285,41 @@ class TestLsUpdate:
             vol, _ = ls_update(w, meas, lam, warm_start=warm, cg_iters=40, cg_tol=1e-10)
             assert objective(vol.data) <= objective(warm) * (1 + 1e-10) + 1e-10
 
-    def test_non_finite_inputs_named(self):
+    def test_single_coil_preconditioner_cuts_iterations(self):
+        # the k-space Jacobi preconditioner against plain CG on the same operator
         g = Grid(8, 8, 4)
-        kt, meas, spec = make_problem(g, fraction=0.5, c=3, seed=6)
+        kt, meas, spec = make_problem(g, fraction=0.3, c=1, seed=0)
         w = weight_update(kt.data, spec, p=0.6, eps=0.1)
-        warm = kt.data.copy()
-        warm[1, 2, 3] = np.nan
-        with pytest.raises(ValueError, match="warm_start"):
-            ls_update(w, meas, 2.0, warm_start=warm, cg_iters=5)
-        b = meas.b.copy()
-        b[2][meas.mask.mask] = np.nan
-        bad = simulate.Measurements(b=b, mask=meas.mask, coils=meas.coils)
-        with pytest.raises(ValueError, match="meas.b"):
-            ls_update(w, bad, 2.0, warm_start=kt.data, cg_iters=5)
+        lam = 7.0
+        mult = fastops.build_normal_multipliers(w, spec)
+        mask = meas.mask.mask
+        plain = cg_solve(
+            lambda x: fastops.apply_normal(mult, x) + lam * mask * x,
+            lam * mask * meas.b[0],
+            tol=1e-10,
+            maxiter=3000,
+        )
+        vol, cg = ls_update(w, meas, lam, cg_iters=3000, cg_tol=1e-10)
+        assert plain.stop == "tol" and cg.stop == "tol"
+        assert cg.rel_residual <= 1e-10
+        assert cg.iters < plain.iters
+        assert np.linalg.norm(vol.data - plain.x) <= 1e-8 * np.linalg.norm(plain.x)
+
+    def test_non_finite_inputs_named(self):
+        # one uniform coil (k-space CG) and C = 3 coils (image-domain CG)
+        g = Grid(8, 8, 4)
+        for c in (1, 3):
+            kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=6)
+            w = weight_update(kt.data, spec, p=0.6, eps=0.1)
+            warm = kt.data.copy()
+            warm[1, 2, 3] = np.nan
+            with pytest.raises(ValueError, match="warm_start"):
+                ls_update(w, meas, 2.0, warm_start=warm, cg_iters=5)
+            b = meas.b.copy()
+            b[c - 1][meas.mask.mask] = np.nan
+            bad = simulate.Measurements(b=b, mask=meas.mask, coils=meas.coils)
+            with pytest.raises(ValueError, match="meas.b"):
+                ls_update(w, bad, 2.0, warm_start=kt.data, cg_iters=5)
 
 
 class TestGradient:
