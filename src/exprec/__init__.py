@@ -4,64 +4,32 @@ Recovers a 2-D image time series whose pixels decay as sums of damped
 exponentials from undersampled Fourier (k-t) measurements, by completing
 a multifold Toeplitz lifted matrix with Schatten-p IRLS and FFT hybrid
 (circular-spatial, linear-temporal) operators.
+
+Public names load their module, and numpy, on first use (PEP 562), so
+``import exprec.cli`` stays cheap until a command needs the numerics.
 """
 
-from .core import Grid, ImageSeries, KtVolume, dft2_forward, dft2_inverse
-from .lifting import (
-    AnnihilationCertificate,
-    FilterSpec,
-    LiftedMatrix,
-    annihilation_certificate,
-    apply_lifted_adjoint,
-    build_lifted,
-)
-from .solver import SolverConfig, SolveReport, WeightSet, irls_solve, schatten_cost
-from .simulate import (
-    CoilSet,
-    Measurements,
-    Phantom,
-    PhantomSpec,
-    SamplingMask,
-    make_coils,
-    make_mask,
-    make_phantom,
-    simulate_measurements,
-)
-from .mapping import T2Map, fit_t2, nrmse, recon_ktlowrank, recon_zerofill, snr_db
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Grid",
-    "ImageSeries",
-    "KtVolume",
-    "dft2_forward",
-    "dft2_inverse",
-    "FilterSpec",
-    "LiftedMatrix",
-    "AnnihilationCertificate",
-    "build_lifted",
-    "apply_lifted_adjoint",
-    "annihilation_certificate",
-    "SolverConfig",
-    "SolveReport",
-    "WeightSet",
-    "irls_solve",
-    "schatten_cost",
-    "PhantomSpec",
-    "Phantom",
-    "CoilSet",
-    "SamplingMask",
-    "Measurements",
-    "make_phantom",
-    "make_coils",
-    "make_mask",
-    "simulate_measurements",
-    "T2Map",
-    "fit_t2",
-    "snr_db",
-    "nrmse",
-    "recon_zerofill",
-    "recon_ktlowrank",
-    "__version__",
-]
+_EXPORTS = {
+    "core": ["Grid", "ImageSeries", "KtVolume", "dft2_forward", "dft2_inverse"],
+    "lifting": ["FilterSpec", "LiftedMatrix", "AnnihilationCertificate", "build_lifted",
+                "apply_lifted_adjoint", "annihilation_certificate"],
+    "solver": ["SolverConfig", "SolveReport", "WeightSet", "irls_solve", "schatten_cost"],
+    "simulate": ["PhantomSpec", "Phantom", "CoilSet", "SamplingMask", "Measurements",
+                 "make_phantom", "make_coils", "make_mask", "simulate_measurements"],
+    "mapping": ["T2Map", "fit_t2", "snr_db", "nrmse", "recon_zerofill", "recon_ktlowrank"],
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -49,10 +49,6 @@ def _build_parser():
     return parser
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _load_config(args):
     from .config import ExperimentConfig, load_preset
 
@@ -282,12 +278,7 @@ def main(argv=None) -> int:
             return cmd_fit(cfg, outdir, args.method)
         if args.command == "eval":
             return cmd_eval(cfg, outdir, args.method)
-        if args.command == "render":
-            return cmd_render(cfg, outdir, args.method)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"exprec: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return cmd_render(cfg, outdir, args.method)
     except (FileNotFoundError,) as exc:
         print(f"exprec: {exc}", file=sys.stderr)
         return EXIT_DATA

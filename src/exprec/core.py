@@ -29,8 +29,6 @@ __all__ = [
 def require_finite(name, data):
     """Raise ValueError naming the first non-finite entry of ``data``."""
     finite = np.isfinite(data)
-    if data.dtype.kind == "c":
-        finite = np.isfinite(data.real) & np.isfinite(data.imag)
     if not finite.all():
         idx = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(f"{name} contains a non-finite value at index {idx}")

@@ -62,9 +62,12 @@ class GramSizeError(ValueError):
     """Dense Gram would exceed the desk-scale row guard."""
 
 
-def _as_volume(rho_hat):
-    data = getattr(rho_hat, "data", rho_hat)
-    return np.asarray(data, dtype=np.complex128)
+def _as_volume(rho_hat, spec):
+    """The volume's data as a complex array, checked against the spec's grid."""
+    x = np.asarray(getattr(rho_hat, "data", rho_hat), dtype=np.complex128)
+    if x.shape != spec.grid.shape:
+        raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
+    return x
 
 
 def _check_filter(c, spec):
@@ -80,9 +83,7 @@ def hybrid_conv(rho_hat, c, spec: FilterSpec):
     Returns the valid-shift samples as a ``(k, P, Q)`` array, equal to the
     explicit hybrid lifted matrix times ``vec(c)`` reshaped frame-major.
     """
-    x = _as_volume(rho_hat)
-    if x.shape != spec.grid.shape:
-        raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
+    x = _as_volume(rho_hat, spec)
     c = _check_filter(c, spec)
     p, q, t = spec.grid.shape
     nt, k = spec.nt, spec.k
@@ -140,9 +141,7 @@ def assemble_gram(rho_hat, spec: FilterSpec, restriction: str = "valid_linear") 
     W over the Nt temporal taps.  Matches the explicit lifted matrix
     product in the corresponding mode to roundoff.
     """
-    x = _as_volume(rho_hat)
-    if x.shape != spec.grid.shape:
-        raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
+    x = _as_volume(rho_hat, spec)
     nr = _guard_rows(spec, restriction)
     p, q, _ = spec.grid.shape
     nt, k = spec.nt, spec.k
@@ -202,9 +201,7 @@ def assemble_gram_circulant(
     Exactly the Gram of the spatially circularized lifting; agrees with
     ``assemble_gram`` when N1 x N2 covers the whole grid.
     """
-    x = _as_volume(rho_hat)
-    if x.shape != spec.grid.shape:
-        raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
+    x = _as_volume(rho_hat, spec)
     nr = _guard_rows(spec, restriction)
     p, q, _ = spec.grid.shape
     nt, k = spec.nt, spec.k
@@ -305,10 +302,7 @@ def apply_block(mult: NormalMultipliers, z):
 
 def apply_normal(mult: NormalMultipliers, x):
     """sum_i A_i* A_i on a k-t volume: the k-space adapter F . block . F^H."""
-    spec = mult.spec
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != spec.grid.shape:
-        raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
+    x = _as_volume(x, mult.spec)
     z = apply_block(mult, np.fft.ifft2(x, axes=(0, 1), norm="ortho"))
     return np.fft.fft2(z, axes=(0, 1), norm="ortho", out=z)
 

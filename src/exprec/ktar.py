@@ -66,12 +66,9 @@ class ArrayHeader:
         if self.order != "row-major":
             raise KtarError(f"unsupported order {self.order!r}")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        n = 1
-        for s in self.shape:
-            if s < 0:
-                raise KtarError(f"negative dimension in shape {self.shape}")
-            n *= s
-        if n > MAX_ELEMS:
+        if any(s < 0 for s in self.shape):
+            raise KtarError(f"negative dimension in shape {self.shape}")
+        if self.count > MAX_ELEMS:
             raise KtarError(f"shape {self.shape} exceeds {MAX_ELEMS} elements")
 
     @property

@@ -33,8 +33,6 @@ class T2Map:
     t2: np.ndarray = field(repr=False)  # (P, Q) ms, 0 off support
     amp: np.ndarray = field(repr=False)  # (P, Q)
     support: np.ndarray = field(repr=False)  # (P, Q) bool, pixels actually fitted
-    n_dropped: int = 0
-    n_clamped: int = 0
 
 
 def fit_t2(series: ImageSeries, echo_times, support=None) -> T2Map:
@@ -43,7 +41,7 @@ def fit_t2(series: ImageSeries, echo_times, support=None) -> T2Map:
     Solves least squares on log|rho| vs TE with weights |rho|^2, which is
     exact on noiseless mono-exponentials.  Pixels with a non-positive
     magnitude anywhere are dropped from the support; fits outside the
-    (1, 5000) ms range are clamped and counted.
+    (1, 5000) ms range are clamped.
     """
     te = np.asarray(echo_times, dtype=np.float64)
     if te.size < 2:
@@ -56,7 +54,6 @@ def fit_t2(series: ImageSeries, echo_times, support=None) -> T2Map:
     support = np.asarray(support, dtype=bool)
 
     ok = support & (mag > 0).all(axis=2)
-    n_dropped = int(np.count_nonzero(support & ~ok))
 
     logm = np.zeros_like(mag)
     np.log(mag, out=logm, where=mag > 0)
@@ -69,7 +66,6 @@ def fit_t2(series: ImageSeries, echo_times, support=None) -> T2Map:
     sty = (w * te * logm).sum(axis=2)
     det = s0 * s2 - s1**2
     good = ok & (det > 0)
-    n_dropped += int(np.count_nonzero(ok & ~good))
     det_safe = np.where(good, det, 1.0)
     slope = (s0 * sty - s1 * sy) / det_safe
     intercept = (s2 * sy - s1 * sty) / det_safe
@@ -79,15 +75,13 @@ def fit_t2(series: ImageSeries, echo_times, support=None) -> T2Map:
     decaying = good & (slope < 0)
     t2[decaying] = -1.0 / slope[decaying]
     t2[good & ~decaying] = T2_CLAMP_HIGH  # no decay measured
-    n_clamped = int(np.count_nonzero(good & ~decaying))
     low = good & (t2 < T2_CLAMP_LOW)
     high = decaying & (t2 > T2_CLAMP_HIGH)
-    n_clamped += int(np.count_nonzero(low) + np.count_nonzero(high))
     t2[low] = T2_CLAMP_LOW
     t2[high] = T2_CLAMP_HIGH
     amp[good] = np.exp(intercept[good])
     t2[~good] = 0.0
-    return T2Map(t2=t2, amp=amp, support=good, n_dropped=n_dropped, n_clamped=n_clamped)
+    return T2Map(t2=t2, amp=amp, support=good)
 
 
 def _norms(ref, rec):
@@ -124,7 +118,6 @@ def recon_zerofill(meas: Measurements) -> KtVolume:
 class KtlrResult:
     volume: KtVolume
     objective_trace: tuple
-    casorati_rank: int
 
 
 def _svt(mat, thresh):
@@ -149,7 +142,6 @@ def recon_ktlowrank(meas: Measurements, mu: float, iters: int = 100) -> KtlrResu
     grid = Grid(p, q, t)
     x = np.zeros((p, q, t), dtype=np.complex128)
     trace = []
-    sv = np.zeros(min(p * q, t))
     prev = np.inf
     # A x - b for the current x; each sweep's objective residual is the
     # next sweep's gradient residual
@@ -165,5 +157,4 @@ def recon_ktlowrank(meas: Measurements, mu: float, iters: int = 100) -> KtlrResu
         if obj > prev * (1 + 1e-8) and obj > prev + 1e-12:
             raise RuntimeError(f"k-t low rank objective increased: {prev} -> {obj}")
         prev = obj
-    rank = int(np.count_nonzero(sv > 1e-12 * max(sv.max(), 1e-300)))
-    return KtlrResult(volume=KtVolume(grid, x), objective_trace=tuple(trace), casorati_rank=rank)
+    return KtlrResult(volume=KtVolume(grid, x), objective_trace=tuple(trace))

@@ -163,27 +163,19 @@ def _weights_from_eig(eigvals, eigvecs, eps, p, spec):
     )
 
 
-def _gram_eig(rho_hat, spec, gram):
-    if gram == "circulant":
-        r = fastops.assemble_gram_circulant(rho_hat, spec)
-    elif gram == "exact":
-        r = fastops.assemble_gram(rho_hat, spec)
-    else:
-        raise ValueError(f"unknown gram kind {gram!r}")
+def _gram_eig(rho_hat, spec):
+    r = fastops.assemble_gram_circulant(rho_hat, spec)
     try:
-        eigvals, eigvecs = np.linalg.eigh(r.matrix)
+        return np.linalg.eigh(r.matrix)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigendecomposition of the Gram failed: {exc}") from exc
-    return eigvals, eigvecs
 
 
-def weight_update(
-    rho_hat, spec: FilterSpec, p: float, eps: float, gram: str = "circulant"
-) -> WeightSet:
-    """Eigendecompose the Gram and return the filter bank H^(1/2)."""
+def weight_update(rho_hat, spec: FilterSpec, p: float, eps: float) -> WeightSet:
+    """Eigendecompose the circulant Gram and return the filter bank H^(1/2)."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    eigvals, eigvecs = _gram_eig(rho_hat, spec, gram)
+    eigvals, eigvecs = _gram_eig(rho_hat, spec)
     return _weights_from_eig(eigvals, eigvecs, eps, p, spec)
 
 
@@ -406,7 +398,7 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig, init=None):
         x = np.asarray(getattr(init, "data", init), dtype=np.complex128).copy()
         if x.shape != grid.shape:
             raise ValueError(f"init shape {x.shape} does not match grid {grid.shape}")
-    eigvals, eigvecs = _gram_eig(x, spec, "circulant")
+    eigvals, eigvecs = _gram_eig(x, spec)
     lam_max0 = max(float(eigvals[-1]), 0.0)
     eps = lam_max0 / 100.0 if cfg.eps0 == "auto" else float(cfg.eps0)
     if eps <= 0:
@@ -424,7 +416,7 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig, init=None):
             weights, meas, cfg.lam, warm_start=x, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol
         )
         x = vol.data
-        eigvals, eigvecs = _gram_eig(x, spec, "circulant")
+        eigvals, eigvecs = _gram_eig(x, spec)
         data_sq = _data_residual_sq(x, meas, grid)
         reg = _smoothed_reg(eigvals, eps, cfg.p)
         data_term = 0.5 * cfg.lam * data_sq

@@ -92,7 +92,8 @@ def test_criterion_3_irls_correctness():
     x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
 
     # (a) majorization identity Tr(T* H T) = sum_i ||h_i T||^2
-    w = solver.weight_update(x, spec, p=0.6, eps=0.1, gram="exact")
+    r = fastops.assemble_gram(x, spec).matrix
+    w = solver._weights_from_eig(*np.linalg.eigh(r), 0.1, 0.6, spec)
     t_lin = build_lifted(KtVolume(g, x), spec, "linear").matrix
     lhs = float(np.trace(t_lin.conj().T @ w.weight_matrix() @ t_lin).real)
     rhs = float(np.linalg.norm(w.half_matrix() @ t_lin) ** 2)

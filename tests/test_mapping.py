@@ -35,7 +35,6 @@ class TestFitT2:
         series = ImageSeries(g, np.ones(g.shape))
         fit = fit_t2(series, g.echo_times())
         assert (fit.t2 == 5000.0).all()
-        assert fit.n_clamped == 9
 
     def test_zero_pixels_dropped(self):
         g = Grid(3, 3, 8, dt=10.0)
@@ -43,7 +42,6 @@ class TestFitT2:
         data[0, 0, 3] = 0.0
         fit = fit_t2(ImageSeries(g, data), g.echo_times())
         assert not fit.support[0, 0]
-        assert fit.n_dropped == 1
         assert fit.t2[0, 0] == 0.0
 
     def test_noisy_median_error(self):
@@ -144,7 +142,8 @@ class TestKtLowRank:
         meas = simulate.simulate_measurements(kt, coils, mask)
         smax = float(np.linalg.svd(kt.data.reshape(-1, g.t), compute_uv=False)[0])
         res = recon_ktlowrank(meas, mu=1e-7 * smax, iters=30)
-        assert res.casorati_rank == 1
+        sv = np.linalg.svd(res.volume.data.reshape(-1, g.t), compute_uv=False)
+        assert np.count_nonzero(sv > 1e-12 * sv[0]) == 1
         assert np.linalg.norm(res.volume.data - kt.data) <= 1e-6 * np.linalg.norm(kt.data)
 
     def test_huge_mu_gives_zero(self):

@@ -93,22 +93,12 @@ class TestWeightMath:
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 5)
         p, eps = 0.6, 0.1
-        w = weight_update(x, spec, p=p, eps=eps, gram="circulant")
+        w = weight_update(x, spec, p=p, eps=eps)
         r = fastops.assemble_gram_circulant(x, spec, "valid_linear").matrix
         lam, u = np.linalg.eigh(r)
         want = (u * (np.clip(lam, 0, None) + eps) ** (p / 2.0 - 1.0)) @ u.conj().T
         got = w.weight_matrix()
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
-
-    def test_exact_gram_option(self):
-        g = Grid(6, 6, 4)
-        spec = FilterSpec(3, 3, 2, g)
-        x = random_volume(g, 6)
-        w = weight_update(x, spec, p=1.0, eps=0.2, gram="exact")
-        r = fastops.assemble_gram(x, spec, "valid_linear").matrix
-        lam, u = np.linalg.eigh(r)
-        want = (u * (np.clip(lam, 0, None) + 0.2) ** (-0.5)) @ u.conj().T
-        assert np.linalg.norm(w.weight_matrix() - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_negative_eps_rejected(self):
         g = Grid(4, 4, 3)
@@ -134,7 +124,8 @@ class TestWeightMath:
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 8)
-        w = weight_update(x, spec, p=0.6, eps=0.1, gram="exact")
+        r = fastops.assemble_gram(x, spec).matrix
+        w = solver._weights_from_eig(*np.linalg.eigh(r), 0.1, 0.6, spec)
         t = build_lifted(KtVolume(g, x), spec, "linear").matrix
         h = w.weight_matrix()
         lhs = float(np.trace(t.conj().T @ h @ t).real)
