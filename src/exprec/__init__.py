@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": ["Grid", "ImageSeries", "KtVolume", "dft2_forward", "dft2_inverse"],
-    "lifting": ["FilterSpec", "LiftedMatrix", "AnnihilationCertificate", "build_lifted",
+    "lifting": ["FilterSpec", "AnnihilationCertificate", "build_lifted",
                 "apply_lifted_adjoint", "annihilation_certificate"],
-    "solver": ["SolverConfig", "SolveReport", "WeightSet", "irls_solve", "schatten_cost"],
+    "solver": ["SolverConfig", "SolveReport", "WeightSet", "irls_solve"],
     "simulate": ["PhantomSpec", "Phantom", "CoilSet", "SamplingMask", "Measurements",
                  "make_phantom", "make_coils", "make_mask", "simulate_measurements"],
     "mapping": ["T2Map", "fit_t2", "snr_db", "nrmse", "recon_zerofill", "recon_ktlowrank"],

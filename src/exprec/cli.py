@@ -1,8 +1,8 @@
 """Command-line front end: generate, simulate, reconstruct, fit, evaluate
 and render desk-scale experiments from JSON configs or built-in presets.
 
-Exit codes: 0 success, 2 solver hit the iteration cap without meeting the
-objective tolerance, 64 usage error, 65 bad or missing data, 70 internal
+Exit codes: 0 success, 2 solver hit its outer iteration cap before it
+converged at eps_min, 64 usage error, 65 bad or missing data, 70 internal
 error.
 """
 
@@ -65,11 +65,11 @@ def _seeds(cfg):
     return {"phantom": s, "coils": s + 1, "mask": s + 2, "noise": s + 3}
 
 
-def _write(outdir, name, data, cfg, dtype=None):
+def _write(outdir, name, data, cfg):
     from . import ktar
 
     outdir.mkdir(parents=True, exist_ok=True)
-    ktar.write_array(outdir / name, data, dtype=dtype, meta={"config_hash": cfg.config_hash})
+    ktar.write_array(outdir / name, data, meta={"config_hash": cfg.config_hash})
 
 
 def _read(outdir, name):

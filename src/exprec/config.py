@@ -38,7 +38,6 @@ SCHEMA = {
     "properties": {
         "name": {"type": "string"},
         "seed": {"type": "integer", "minimum": 0},
-        "echo_start_ms": _POSNUM,
         "grid": {
             "type": "object",
             "additionalProperties": False,
@@ -207,7 +206,7 @@ class ExperimentConfig:
 
     @property
     def echo_times(self):
-        return self.grid.echo_times(self.doc.get("echo_start_ms"))
+        return self.grid.echo_times()
 
     @property
     def coil_count(self) -> int:

@@ -304,6 +304,7 @@ def apply_normal(mult: NormalMultipliers, x):
     """sum_i A_i* A_i on a k-t volume: the k-space adapter F . block . F^H."""
     x = _as_volume(x, mult.spec)
     z = apply_block(mult, np.fft.ifft2(x, axes=(0, 1), norm="ortho"))
+    # numpy 2.4's ifft2 ignores out= (returns a new array, leaves out unwritten); fft2 honours it
     return np.fft.fft2(z, axes=(0, 1), norm="ortho", out=z)
 
 

@@ -22,7 +22,7 @@ truth for ``fastops``, not for scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .core import Grid, KtVolume
 
 __all__ = [
     "FilterSpec",
-    "LiftedMatrix",
     "AnnihilationCertificate",
     "LiftedSizeError",
     "build_lifted",
@@ -126,19 +125,6 @@ class FilterSpec:
 
 
 @dataclass(frozen=True)
-class LiftedMatrix:
-    """Dense lifted matrix plus the spec/mode that shaped it."""
-
-    matrix: np.ndarray = field(repr=False)
-    spec: FilterSpec
-    mode: str
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
-@dataclass(frozen=True)
 class AnnihilationCertificate:
     sigma_min: float
     sigma_max: float
@@ -159,8 +145,8 @@ def _gather_indices(spec, mode):
     return ix, iy, it
 
 
-def build_lifted(rho_hat: KtVolume, spec: FilterSpec, mode: str = "linear") -> LiftedMatrix:
-    """Materialize T(rho_hat) for the given shift semantics."""
+def build_lifted(rho_hat: KtVolume, spec: FilterSpec, mode: str = "linear") -> np.ndarray:
+    """Materialize T(rho_hat) for the given shift semantics as a dense array."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if spec.grid.shape != rho_hat.grid.shape:
@@ -172,7 +158,7 @@ def build_lifted(rho_hat: KtVolume, spec: FilterSpec, mode: str = "linear") -> L
             f"({ORACLE_MAX_ENTRIES} entries); use the fastops implicit operators"
         )
     ix, iy, it = _gather_indices(spec, mode)
-    return LiftedMatrix(rho_hat.data[ix, iy, it], spec, mode)
+    return rho_hat.data[ix, iy, it]
 
 
 def apply_lifted_adjoint(y, spec: FilterSpec, mode: str = "linear") -> KtVolume:
@@ -209,7 +195,7 @@ def lifted_penalty(rho_hat: KtVolume, filters, spec: FilterSpec, offset=(0, 0)):
     hpad = np.zeros((m, k, g.p, g.q), dtype=np.complex128)
     hpad[:, :, ox : ox + wp, oy : oy + wq] = filters
     hpad = hpad.reshape(m, -1)
-    ht = hpad @ build_lifted(rho_hat, full, "hybrid").matrix
+    ht = hpad @ build_lifted(rho_hat, full, "hybrid")
     value = 0.5 * float(np.vdot(ht, ht).real)
     return apply_lifted_adjoint(hpad.conj().T @ ht, full, "hybrid"), value
 
@@ -218,8 +204,7 @@ def annihilation_certificate(
     rho_hat: KtVolume, spec: FilterSpec, mode: str = "linear", tol: float = 1e-8
 ) -> AnnihilationCertificate:
     """Full SVD of the explicit lifted matrix; counts sigma_i < tol * sigma_max."""
-    lifted = build_lifted(rho_hat, spec, mode)
-    sv = np.linalg.svd(lifted.matrix, compute_uv=False)
+    sv = np.linalg.svd(build_lifted(rho_hat, spec, mode), compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
     smin = float(sv[-1]) if sv.size else 0.0
     nullity = int(np.count_nonzero(sv < tol * smax)) if smax > 0 else int(sv.size)

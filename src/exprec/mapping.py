@@ -110,7 +110,7 @@ def nrmse(ref, rec) -> float:
 
 def recon_zerofill(meas: Measurements) -> KtVolume:
     """Adjoint (coil-combined, mask-respecting) reconstruction of b."""
-    p, q, t = meas.grid_shape
+    p, q, t = meas.b.shape[1:]
     return adjoint(meas.b, meas.coils, meas.mask, Grid(p, q, t))
 
 
@@ -138,7 +138,7 @@ def recon_ktlowrank(meas: Measurements, mu: float, iters: int = 100) -> KtlrResu
         raise ValueError("need mu >= 0 and iters >= 1")
     from .simulate import forward
 
-    p, q, t = meas.grid_shape
+    p, q, t = meas.b.shape[1:]
     grid = Grid(p, q, t)
     x = np.zeros((p, q, t), dtype=np.complex128)
     trace = []

@@ -41,13 +41,12 @@ def write_pgm16(path, image, lo=None, hi=None, comment=None):
     return lo, hi
 
 
-def render_map(path, image, label, config_hash=None, lo=None, hi=None):
+def render_map(path, image, label, config_hash=None):
     """Render plus sidecar ``<path>.txt`` recording the window and hash."""
     comment = f"config:{config_hash}" if config_hash else None
-    lo, hi = write_pgm16(path, image, lo=lo, hi=hi, comment=comment)
+    lo, hi = write_pgm16(path, image, comment=comment)
     side = [f"label {label}", f"window_min {lo!r}", f"window_max {hi!r}"]
     if config_hash:
         side.append(f"config_hash {config_hash}")
     with open(str(path) + ".txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(side) + "\n")
-    return lo, hi

@@ -313,10 +313,6 @@ class Measurements:
         b = np.asarray(self.b, dtype=np.complex128)
         object.__setattr__(self, "b", b * self.mask.mask[None, :, :, :])
 
-    @property
-    def grid_shape(self):
-        return self.b.shape[1:]
-
 
 def _uniform_single_coil(coils):
     return coils.maps.shape[0] == 1 and np.all(coils.maps == 1.0)

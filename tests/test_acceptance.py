@@ -43,13 +43,13 @@ def test_criterion_1_oracle_equivalence():
         vol = KtVolume(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         c = rng.standard_normal(spec.support_shape) + 1j * rng.standard_normal(spec.support_shape)
 
-        t_hyb = build_lifted(vol, spec, "hybrid").matrix
+        t_hyb = build_lifted(vol, spec, "hybrid")
         got = fastops.hybrid_conv(vol, c, spec).ravel()
         want = t_hyb @ c.ravel()
         worst_conv = max(worst_conv, np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
         for restriction, mode in (("full_circular", "hybrid"), ("valid_linear", "linear")):
-            tm = build_lifted(vol, spec, mode).matrix
+            tm = build_lifted(vol, spec, mode)
             ref = tm @ tm.conj().T
             gram = fastops.assemble_gram(vol, spec, restriction).matrix
             rel = np.linalg.norm(gram - ref) / max(np.linalg.norm(ref), 1e-300)
@@ -94,7 +94,7 @@ def test_criterion_3_irls_correctness():
     # (a) majorization identity Tr(T* H T) = sum_i ||h_i T||^2
     r = fastops.assemble_gram(x, spec).matrix
     w = solver._weights_from_eig(*np.linalg.eigh(r), 0.1, 0.6, spec)
-    t_lin = build_lifted(KtVolume(g, x), spec, "linear").matrix
+    t_lin = build_lifted(KtVolume(g, x), spec, "linear")
     lhs = float(np.trace(t_lin.conj().T @ w.weight_matrix() @ t_lin).real)
     rhs = float(np.linalg.norm(w.half_matrix() @ t_lin) ** 2)
     rel_a = abs(lhs - rhs) / abs(rhs)

@@ -83,6 +83,22 @@ class TestPipeline:
         assert err == [f"exprec: CG did not reach cg_tol in {steps} of {steps} steps "
                        f"(maxiter {steps})"]
 
+    def test_loose_cg_tol_does_not_claim_convergence(self, tmp_path):
+        # with cg_tol 1e-2 the warm start already meets it, so CG takes 0
+        # iterations and the objective does not move; that is no convergence
+        # while eps is still decaying
+        cfg = json.loads(json.dumps(TINY))
+        cfg["solver"]["cg_tol"] = 1e-2
+        for coils in (1, 2):
+            cfg["coils"]["count"] = coils
+            path = tmp_path / f"loose_cg_{coils}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out_{coils}"
+            assert run("simulate", "--config", path, "--out", out) == 0
+            assert run("recon", "--config", path, "--out", out, "--method", "proposed") == 2
+            steps = len((out / "report_proposed.csv").read_text().splitlines()) - 1
+            assert steps == cfg["solver"]["outer_iters"], coils
+
     def test_phantom_and_mask_commands(self, tmp_path, tiny_config):
         out = tmp_path / "o2"
         assert run("phantom", "--config", tiny_config, "--out", out) == 0
@@ -147,6 +163,14 @@ class TestErrors:
         bad = dict(TINY)
         bad["mask"] = {"kind": "uniform_random", "fraction": 0.0}
         path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert run("simulate", "--config", path, "--out", tmp_path / "o") == 65
+
+    def test_echo_start_key_is_rejected(self, tmp_path):
+        # T2 comes from the slope of the log-linear fit, which the echo-time
+        # origin does not change, so the config has no key for it
+        bad = dict(TINY, echo_start_ms=10.0)
+        path = tmp_path / "echo.json"
         path.write_text(json.dumps(bad))
         assert run("simulate", "--config", path, "--out", tmp_path / "o") == 65
 

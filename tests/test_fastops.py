@@ -37,7 +37,7 @@ class TestHybridConv:
         c = random_filter(spec, 3)
         lifted = build_lifted(vol, spec, "hybrid")
         got = fastops.hybrid_conv(vol, c, spec).ravel()
-        want = lifted.matrix @ c.ravel()
+        want = lifted @ c.ravel()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_valid_conv_matches_linear_matrix(self):
@@ -47,7 +47,7 @@ class TestHybridConv:
         c = random_filter(spec, 5)
         lifted = build_lifted(vol, spec, "linear")
         got = fastops.hybrid_conv(vol, c, spec)[:, spec.n1 - 1 :, spec.n2 - 1 :].ravel()
-        want = lifted.matrix @ c.ravel()
+        want = lifted @ c.ravel()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_mono_exponential_annihilated(self):
@@ -90,7 +90,7 @@ class TestAssembleGram:
     def test_matches_explicit_gram(self, restriction, mode):
         for vol, spec in random_gram_cases():
             got = fastops.assemble_gram(vol, spec, restriction).matrix
-            tm = build_lifted(vol, spec, mode).matrix
+            tm = build_lifted(vol, spec, mode)
             want = tm @ tm.conj().T
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -99,7 +99,7 @@ class TestAssembleGram:
         # spatial support, restricted to the valid-shift rows
         for vol, spec in random_gram_cases():
             g = spec.grid
-            tm = build_lifted(vol, FilterSpec(g.p, g.q, spec.nt, g), "hybrid").matrix
+            tm = build_lifted(vol, FilterSpec(g.p, g.q, spec.nt, g), "hybrid")
             for restriction, mode in (("full_circular", "hybrid"), ("valid_linear", "linear")):
                 got = fastops.assemble_gram_circulant(vol, spec, restriction).matrix
                 ft, fx, fy = spec.row_indices(mode)
@@ -121,7 +121,7 @@ class TestAssembleGram:
         vol = random_volume(g, 9)
         got = fastops.assemble_gram(vol, spec, "valid_linear")
         assert spec.k == 1
-        tm = build_lifted(vol, spec, "linear").matrix
+        tm = build_lifted(vol, spec, "linear")
         want = tm @ tm.conj().T
         assert np.abs(got.matrix - want).max() <= 1e-10 * np.abs(want).max()
 

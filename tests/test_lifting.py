@@ -88,7 +88,7 @@ class TestBuildLifted:
         rng = np.random.default_rng(12)
         c = rng.standard_normal(spec.support_shape) + 1j * rng.standard_normal(spec.support_shape)
         lifted = build_lifted(vol, spec, mode)
-        got = lifted.matrix @ c.ravel()
+        got = lifted @ c.ravel()
         want = conv_oracle(vol.data, c, spec, mode).ravel()
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
@@ -101,8 +101,8 @@ class TestBuildLifted:
         c = np.array([1.0, -0.5]).reshape(2, 1, 1)
         for mode in ("linear", "hybrid"):
             lifted = build_lifted(kt, spec, mode)
-            resid = lifted.matrix @ c.ravel()
-            assert np.abs(resid).max() < 1e-12 * np.abs(lifted.matrix).max()
+            resid = lifted @ c.ravel()
+            assert np.abs(resid).max() < 1e-12 * np.abs(lifted).max()
 
     def test_linearity(self):
         g = Grid(4, 4, 3)
@@ -110,8 +110,8 @@ class TestBuildLifted:
         u, v = random_volume(g, 1), random_volume(g, 2)
         a, b = 0.7 - 1.1j, 2.0 + 0.5j
         combo = KtVolume(g, a * u.data + b * v.data)
-        lhs = build_lifted(combo, spec, "hybrid").matrix
-        rhs = a * build_lifted(u, spec, "hybrid").matrix + b * build_lifted(v, spec, "hybrid").matrix
+        lhs = build_lifted(combo, spec, "hybrid")
+        rhs = a * build_lifted(u, spec, "hybrid") + b * build_lifted(v, spec, "hybrid")
         assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(rhs).max()
 
     def test_shift_structure(self):
@@ -121,8 +121,8 @@ class TestBuildLifted:
         vol = random_volume(g, 5)
         shift = (1, 2)
         rolled = KtVolume(g, np.roll(vol.data, shift, axis=(0, 1)))
-        t_orig = build_lifted(vol, spec, "hybrid").matrix
-        t_roll = build_lifted(rolled, spec, "hybrid").matrix
+        t_orig = build_lifted(vol, spec, "hybrid")
+        t_roll = build_lifted(rolled, spec, "hybrid")
         k = spec.k
         a = t_orig.reshape(k, g.p, g.q, -1)
         b = t_roll.reshape(k, g.p, g.q, -1)
@@ -167,7 +167,7 @@ class TestAdjoint:
         shape = (spec.n_rows(mode), spec.n_support)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         lifted = build_lifted(vol, spec, mode)
-        lhs = np.sum(np.conj(y) * lifted.matrix)
+        lhs = np.sum(np.conj(y) * lifted)
         rhs = np.sum(np.conj(apply_lifted_adjoint(y, spec, mode).data) * vol.data)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
@@ -191,8 +191,8 @@ class TestCertificate:
         c = annihilator_for(beta, g, 3)
         for mode in ("linear", "hybrid"):
             lifted = build_lifted(kt, spec, mode)
-            resid = np.linalg.norm(lifted.matrix @ c.ravel())
-            assert resid <= 1e-10 * np.linalg.norm(lifted.matrix) * np.linalg.norm(c)
+            resid = np.linalg.norm(lifted @ c.ravel())
+            assert resid <= 1e-10 * np.linalg.norm(lifted) * np.linalg.norm(c)
             cert = annihilation_certificate(kt, spec, mode, tol=1e-8)
             assert cert.nullity_est >= 1
             assert cert.sigma_min <= 1e-8 * cert.sigma_max

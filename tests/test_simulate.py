@@ -56,7 +56,7 @@ class TestPhantom:
         c[0], c[1], c[2] = 1.0, -(b1 + b2), b1 * b2
         spec = FilterSpec(1, 1, 3, g)
         lifted = build_lifted(kt, spec, "hybrid")
-        resid = lifted.matrix @ c.ravel()
+        resid = lifted @ c.ravel()
         assert np.abs(resid).max() < 1e-10 * np.abs(kt.data).max()
 
     def test_determinism_and_seed_variation(self):

@@ -5,14 +5,12 @@ from exprec.core import Grid, KtVolume, dft2_forward
 from exprec.lifting import FilterSpec, build_lifted
 from exprec import fastops, simulate, solver
 from exprec.solver import (
-    CgDivergenceError,
     SolverConfig,
     SolverError,
     WeightSet,
     cg_solve,
     irls_solve,
     ls_update,
-    schatten_cost,
     weight_update,
 )
 
@@ -36,36 +34,21 @@ def make_problem(grid, n1=3, n2=3, nt=2, fraction=0.5, c=1, sigma=0.0, seed=0,
 
 
 class TestSchattenCost:
-    def test_p1_is_sum(self):
-        assert schatten_cost([3.0, 4.0], 1.0) == pytest.approx(7.0)
-
-    def test_p2_is_half_energy(self):
-        assert schatten_cost([3.0, 4.0], 2.0) == pytest.approx(12.5)
-
-    def test_p_half_closed_form(self):
-        assert schatten_cost([3.0, 4.0], 0.5) == pytest.approx(2.0 * (np.sqrt(3.0) + 2.0))
-
-    def test_negative_sv_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            schatten_cost([1.0, -0.1], 1.0)
-
-    def test_p_range(self):
-        with pytest.raises(ValueError):
-            schatten_cost([1.0], 2.5)
-
     def test_gram_eigenvalue_route_matches_svd(self):
-        # sigma_i^p = lam_i^{p/2}; exact zeros of the rank-deficient Gram are
-        # thresholded on both routes since x^{p/2} amplifies roundoff at 0
+        # the solver's regularizer at eps = 0 is the Schatten cost
+        # (1/p) sum_i sigma_i^p, and sigma_i^p = lam_i^{p/2}; exact zeros of
+        # the rank-deficient Gram are thresholded on both routes since
+        # x^{p/2} amplifies roundoff at 0
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         vol = KtVolume(g, random_volume(g, 3))
-        sv = np.linalg.svd(build_lifted(vol, spec, "linear").matrix, compute_uv=False)
+        sv = np.linalg.svd(build_lifted(vol, spec, "linear"), compute_uv=False)
         lam = np.linalg.eigvalsh(fastops.assemble_gram(vol, spec, "valid_linear").matrix)
         p = 0.7
         sv = sv[sv > 1e-6 * sv.max()]
         lam = lam[lam > 1e-12 * lam.max()]
-        a = schatten_cost(sv, p)
-        b = float(np.sum(lam ** (p / 2.0)) / p)
+        a = float(np.sum(sv**p) / p)
+        b = solver._smoothed_reg(lam, 0.0, p)
         assert abs(a - b) <= 1e-8 * abs(a)
 
 
@@ -126,7 +109,7 @@ class TestWeightMath:
         x = random_volume(g, 8)
         r = fastops.assemble_gram(x, spec).matrix
         w = solver._weights_from_eig(*np.linalg.eigh(r), 0.1, 0.6, spec)
-        t = build_lifted(KtVolume(g, x), spec, "linear").matrix
+        t = build_lifted(KtVolume(g, x), spec, "linear")
         h = w.weight_matrix()
         lhs = float(np.trace(t.conj().T @ h @ t).real)
         half = w.half_matrix()
@@ -135,20 +118,6 @@ class TestWeightMath:
 
 
 class TestCg:
-    def test_diverges_on_broken_operator(self):
-        # strongly non-normal operator: positive Hermitian part keeps CG
-        # stepping while the residual climbs without bound
-        rng = np.random.default_rng(9)
-        n = 32
-        skew = rng.standard_normal((n, n))
-        skew = skew - skew.T
-        m = np.eye(n) + 40.0 * skew
-        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        with pytest.raises(CgDivergenceError) as info:
-            cg_solve(lambda v: m @ v, rhs, tol=1e-12, maxiter=500)
-        assert info.value.iterate is not None
-        assert len(info.value.residuals) > 10
-
     def test_solves_spd_system(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
@@ -183,12 +152,17 @@ class TestCg:
         assert res.stop == "nonpositive_curvature"
         assert res.iters == 0
 
-    def test_stop_stagnation(self):
-        # rotation-like operator: the residual climbs mildly, never 10x its best
-        m = np.array([[1.0, -1.0], [1.0, 1.0]])
-        res = cg_solve(lambda v: m @ v, np.array([1.0 + 0j, 0.5]), tol=1e-12, maxiter=500)
-        assert res.stop == "stagnation"
-        assert res.iters < 500
+    @pytest.mark.parametrize("n,decades,seed", [(100, 6, 3), (400, 6, 20)])
+    def test_residual_humps_run_to_tol(self, n, decades, seed):
+        # on an ill-conditioned positive definite system CG's residual norm
+        # climbs for many iterations at a time; CG must still reach tol
+        d = np.logspace(0, decades, n)
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = rhs / d
+        res = cg_solve(lambda v: d * v, rhs, tol=1e-10, maxiter=40 * n)
+        assert res.stop == "tol"
+        assert np.linalg.norm(res.x - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_jacobi_preconditioner_on_badly_scaled_system(self):
         m, rhs = self._spd()
