@@ -18,8 +18,8 @@ _EXPORTS = {
     "lifting": ["FilterSpec", "AnnihilationCertificate", "build_lifted",
                 "apply_lifted_adjoint", "annihilation_certificate"],
     "solver": ["SolverConfig", "SolveReport", "WeightSet", "irls_solve"],
-    "simulate": ["PhantomSpec", "Phantom", "CoilSet", "SamplingMask", "Measurements",
-                 "make_phantom", "make_coils", "make_mask", "simulate_measurements"],
+    "simulate": ["PhantomSpec", "Phantom", "Measurements", "make_phantom", "make_coils",
+                 "make_mask", "simulate_measurements"],
     "mapping": ["T2Map", "fit_t2", "snr_db", "nrmse", "recon_zerofill", "recon_ktlowrank"],
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

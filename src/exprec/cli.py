@@ -107,7 +107,7 @@ def cmd_phantom(cfg, outdir):
 
 
 def cmd_mask(cfg, outdir):
-    _write(outdir, "mask.ktar", _make_mask(cfg).mask.astype("<f4"), cfg)
+    _write(outdir, "mask.ktar", _make_mask(cfg).astype("<f4"), cfg)
     return EXIT_OK
 
 
@@ -117,14 +117,14 @@ def cmd_simulate(cfg, outdir):
 
     seeds = _seeds(cfg)
     ph = _make_phantom(cfg)
-    coils = make_coils(cfg.grid, cfg.coil_count, seed=seeds["coils"])
+    maps = make_coils(cfg.grid, cfg.coil_count, seed=seeds["coils"])
     mask = _make_mask(cfg)
     noise = cfg.doc["noise"]
-    meas = simulate_measurements(dft2_forward(ph.series), coils, mask, sigma=noise["sigma"],
+    meas = simulate_measurements(dft2_forward(ph.series), maps, mask, sigma=noise["sigma"],
                                  seed=seeds["noise"], relative=noise["relative"])
     _write_phantom(cfg, outdir, ph)
-    _write(outdir, "coils.ktar", coils.maps, cfg)
-    _write(outdir, "mask.ktar", mask.mask.astype("<f4"), cfg)
+    _write(outdir, "coils.ktar", maps, cfg)
+    _write(outdir, "mask.ktar", mask.astype("<f4"), cfg)
     _write(outdir, "meas.ktar", meas.b, cfg)
     return EXIT_OK
 
@@ -132,12 +132,12 @@ def cmd_simulate(cfg, outdir):
 def _load_measurements(outdir):
     import numpy as np
 
-    from .simulate import CoilSet, Measurements, SamplingMask
+    from .simulate import Measurements
 
     b = _read(outdir, "meas.ktar")
-    mask = SamplingMask(_read(outdir, "mask.ktar") > 0.5)
-    coils = CoilSet(_read(outdir, "coils.ktar").astype(np.complex128))
-    return Measurements(b=b.astype(np.complex128), mask=mask, coils=coils)
+    mask = _read(outdir, "mask.ktar") > 0.5
+    maps = _read(outdir, "coils.ktar").astype(np.complex128)
+    return Measurements(b=b.astype(np.complex128), mask=mask, maps=maps)
 
 
 def cmd_recon(cfg, outdir, method):

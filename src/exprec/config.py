@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
@@ -68,7 +68,7 @@ SCHEMA = {
             "properties": {
                 "kind": {"enum": ["uniform_random", "vd_cartesian"]},
                 "fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "acceleration": {"type": "number", "minimum": 1},
+                "acceleration": {"type": "number", "minimum": 4},
                 "static": {"type": "boolean"},
                 "center_block": _POSINT,
             },
@@ -133,7 +133,29 @@ def _json_pointer(error):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config document and the specs built from it."""
+
     doc: dict
+    grid: Grid = field(init=False)
+    phantom_spec: PhantomSpec = field(init=False)
+    filter_spec: FilterSpec = field(init=False)
+    solver_config: SolverConfig = field(init=False)
+
+    def __post_init__(self):
+        g = self.doc["grid"]
+        # the schema bounds each value alone; the specs check them together
+        try:
+            grid = Grid(g["p"], g["q"], g["t"], g["dt_ms"])
+            specs = {
+                "grid": grid,
+                "phantom_spec": PhantomSpec(grid, **self.doc["phantom"]),
+                "filter_spec": FilterSpec(grid=grid, **self.doc["filter"]),
+                "solver_config": SolverConfig(**self.doc["solver"]),
+            }
+        except ValueError as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
+        for name, spec in specs.items():
+            object.__setattr__(self, name, spec)
 
     @classmethod
     def from_doc(cls, doc, seed=None):
@@ -176,33 +198,6 @@ class ExperimentConfig:
     @property
     def seed(self) -> int:
         return int(self.doc["seed"])
-
-    @property
-    def grid(self) -> Grid:
-        g = self.doc["grid"]
-        return Grid(g["p"], g["q"], g["t"], g["dt_ms"])
-
-    @property
-    def phantom_spec(self) -> PhantomSpec:
-        ph = self.doc["phantom"]
-        return PhantomSpec(
-            grid=self.grid,
-            l=ph["l"],
-            kind=ph["kind"],
-            bandwidth=ph["bandwidth"],
-            t2_low=ph["t2_low"],
-            t2_high=ph["t2_high"],
-            amp_variation=ph["amp_variation"],
-        )
-
-    @property
-    def filter_spec(self) -> FilterSpec:
-        f = self.doc["filter"]
-        return FilterSpec(n1=f["n1"], n2=f["n2"], nt=f["nt"], grid=self.grid)
-
-    @property
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(**self.doc["solver"])
 
     @property
     def echo_times(self):

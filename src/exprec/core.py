@@ -55,10 +55,9 @@ class Grid:
     def shape(self):
         return (self.p, self.q, self.t)
 
-    def echo_times(self, start=None):
-        """Echo times in ms; frame n is acquired at start + n*dt (start defaults to dt)."""
-        t0 = self.dt if start is None else float(start)
-        return t0 + self.dt * np.arange(self.t)
+    def echo_times(self):
+        """Echo times in ms; frame n is acquired at (n + 1) * dt."""
+        return self.dt + self.dt * np.arange(self.t)
 
 
 def _checked_volume(grid, data, name):

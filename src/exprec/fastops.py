@@ -50,7 +50,6 @@ __all__ = [
     "multiplier_fields",
     "apply_block",
     "apply_normal",
-    "penalty_value",
 ]
 
 RESTRICTIONS = ("full_circular", "valid_linear")
@@ -306,9 +305,3 @@ def apply_normal(mult: NormalMultipliers, x):
     z = apply_block(mult, np.fft.ifft2(x, axes=(0, 1), norm="ortho"))
     # numpy 2.4's ifft2 ignores out= (returns a new array, leaves out unwritten); fft2 honours it
     return np.fft.fft2(z, axes=(0, 1), norm="ortho", out=z)
-
-
-def penalty_value(mult: NormalMultipliers, x):
-    """Quadratic penalty 0.5 * sum_i ||A_i x||^2 via the collapsed operator."""
-    x = np.asarray(x, dtype=np.complex128)
-    return 0.5 * float(np.vdot(x, apply_normal(mult, x)).real)

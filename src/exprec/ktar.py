@@ -91,11 +91,10 @@ def dtype_name(dt) -> str:
     return _NAMES[dt]
 
 
-def write_array(path, data, dtype=None, meta=None):
+def write_array(path, data, meta=None):
     """Write ``data`` to ``path`` in KTAR v1 format; returns the header."""
     data = np.asarray(data)
-    name = dtype if dtype is not None else dtype_name(data.dtype)
-    header = ArrayHeader(name, data.shape, meta=meta)
+    header = ArrayHeader(dtype_name(data.dtype), data.shape, meta=meta)
     payload = np.ascontiguousarray(data, dtype=header.numpy_dtype)
     doc = {"dtype": header.dtype, "shape": list(header.shape), "order": header.order}
     if meta is not None:

@@ -111,7 +111,7 @@ def nrmse(ref, rec) -> float:
 def recon_zerofill(meas: Measurements) -> KtVolume:
     """Adjoint (coil-combined, mask-respecting) reconstruction of b."""
     p, q, t = meas.b.shape[1:]
-    return adjoint(meas.b, meas.coils, meas.mask, Grid(p, q, t))
+    return adjoint(meas.b, meas.maps, meas.mask, Grid(p, q, t))
 
 
 @dataclass(frozen=True)
@@ -145,13 +145,13 @@ def recon_ktlowrank(meas: Measurements, mu: float, iters: int = 100) -> KtlrResu
     prev = np.inf
     # A x - b for the current x; each sweep's objective residual is the
     # next sweep's gradient residual
-    resid = forward(KtVolume(grid, x), meas.coils, meas.mask) - meas.b
+    resid = forward(KtVolume(grid, x), meas.maps, meas.mask) - meas.b
     for _ in range(iters):
-        grad = adjoint(resid, meas.coils, meas.mask, grid).data
+        grad = adjoint(resid, meas.maps, meas.mask, grid).data
         z = (x - grad).reshape(p * q, t)
         znew, sv = _svt(z, mu)
         x = znew.reshape(p, q, t)
-        resid = forward(KtVolume(grid, x), meas.coils, meas.mask) - meas.b
+        resid = forward(KtVolume(grid, x), meas.maps, meas.mask) - meas.b
         obj = 0.5 * float(np.vdot(resid, resid).real) + mu * float(sv.sum())
         trace.append(obj)
         if obj > prev * (1 + 1e-8) and obj > prev + 1e-12:

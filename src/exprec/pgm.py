@@ -14,16 +14,16 @@ __all__ = ["write_pgm16", "render_map"]
 MAXVAL = 65535
 
 
-def write_pgm16(path, image, lo=None, hi=None, comment=None):
-    """Write a 2-D real array as 16-bit P5 PGM, windowed to [lo, hi].
+def write_pgm16(path, image, comment=None):
+    """Write a 2-D real array as 16-bit P5 PGM, windowed to its [min, max].
 
-    Returns the (lo, hi) window actually used (data min/max by default).
+    Returns the (lo, hi) window used.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"PGM needs a 2-D array, got shape {img.shape}")
-    lo = float(img.min()) if lo is None else float(lo)
-    hi = float(img.max()) if hi is None else float(hi)
+    lo = float(img.min())
+    hi = float(img.max())
     span = hi - lo
     if span <= 0:
         scaled = np.zeros_like(img)

@@ -18,8 +18,6 @@ from .core import Grid, ImageSeries, KtVolume
 __all__ = [
     "PhantomSpec",
     "Phantom",
-    "CoilSet",
-    "SamplingMask",
     "Measurements",
     "make_phantom",
     "series_from_maps",
@@ -177,20 +175,13 @@ def make_phantom(spec: PhantomSpec, seed: int = 0) -> Phantom:
     return Phantom(series=series, t2_maps=t2_maps, amp_maps=amp_maps, support=support)
 
 
-@dataclass(frozen=True)
-class CoilSet:
-    """C coil sensitivity maps, sum-of-squares normalized to 1 pointwise."""
-
-    maps: np.ndarray = field(repr=False)  # (C, P, Q) complex
-
-
-def make_coils(grid: Grid, c: int, seed: int = 0) -> CoilSet:
-    """Smooth complex Gaussian-bump sensitivities, SOS normalized."""
+def make_coils(grid: Grid, c: int, seed: int = 0) -> np.ndarray:
+    """(C, P, Q) complex Gaussian-bump sensitivities, SOS normalized to 1 pointwise."""
     if c < 1:
         raise ValueError("need at least one coil")
     p, q = grid.p, grid.q
     if c == 1:
-        return CoilSet(np.ones((1, p, q), dtype=np.complex128))
+        return np.ones((1, p, q), dtype=np.complex128)
     rng = _rng(seed)
     x = np.arange(p)[:, None]
     y = np.arange(q)[None, :]
@@ -208,14 +199,7 @@ def make_coils(grid: Grid, c: int, seed: int = 0) -> CoilSet:
         )
         maps[i] = (0.25 + bump) * np.exp(1j * phase)
     sos = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
-    return CoilSet(maps / sos[None, :, :])
-
-
-@dataclass(frozen=True)
-class SamplingMask:
-    """Binary k-space sampling pattern per frame, as a (P, Q, T) bool array."""
-
-    mask: np.ndarray = field(repr=False)
+    return maps / sos[None, :, :]
 
 
 def _uniform_frame(rng, p, q, n):
@@ -267,8 +251,8 @@ def make_mask(
     seed: int = 0,
     static: bool = False,
     center_block: int = 8,
-) -> SamplingMask:
-    """Sampling mask generator.
+) -> np.ndarray:
+    """Sampling mask generator: a (P, Q, T) bool array, True where sampled.
 
     ``uniform_random``: per frame, round-half-up(param * P * Q) points
     drawn without replacement (param is the sampling fraction).
@@ -297,52 +281,51 @@ def make_mask(
         raise ValueError(f"unknown mask kind {kind!r}")
     if static:
         frames = [frames[0]] * t
-    mask = np.stack(frames, axis=-1)
-    return SamplingMask(mask)
+    return np.stack(frames, axis=-1)
 
 
 @dataclass(frozen=True)
 class Measurements:
-    """Sampled multichannel k-t data with its mask and coils."""
+    """Sampled multichannel k-t data with its mask and coil maps."""
 
     b: np.ndarray = field(repr=False)  # (C, P, Q, T) complex, zero off-mask
-    mask: SamplingMask
-    coils: CoilSet
+    mask: np.ndarray = field(repr=False)  # (P, Q, T) bool
+    maps: np.ndarray = field(repr=False)  # (C, P, Q) complex coil sensitivities
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.complex128)
-        object.__setattr__(self, "b", b * self.mask.mask[None, :, :, :])
+        object.__setattr__(self, "b", b * self.mask[None, :, :, :])
 
 
-def _uniform_single_coil(coils):
-    return coils.maps.shape[0] == 1 and np.all(coils.maps == 1.0)
+def _uniform_single_coil(maps):
+    return maps.shape[0] == 1 and np.all(maps == 1.0)
 
 
-def forward(rho_hat: KtVolume, coils: CoilSet, mask: SamplingMask):
+def forward(rho_hat: KtVolume, maps, mask):
     """Forward operator: b_ct = mask_t * DFT2(S_c * IDFT2(rho_hat_t)).
 
     With a single uniform coil this reduces to masking, taken literally so
     the fully sampled single-coil path is exact to the bit.
     """
-    if _uniform_single_coil(coils):
-        return (rho_hat.data * mask.mask)[None, :, :, :]
+    if _uniform_single_coil(maps):
+        return (rho_hat.data * mask)[None, :, :, :]
     img = np.fft.ifft2(rho_hat.data, axes=(0, 1), norm="ortho")
-    coil_imgs = coils.maps[:, :, :, None] * img[None, :, :, :]
+    coil_imgs = maps[:, :, :, None] * img[None, :, :, :]
     b = np.fft.fft2(coil_imgs, axes=(1, 2), norm="ortho")
-    return b * mask.mask[None, :, :, :]
+    return b * mask[None, :, :, :]
 
 
-def adjoint(b, coils: CoilSet, mask: SamplingMask, grid: Grid) -> KtVolume:
+def adjoint(b, maps, mask, grid: Grid) -> KtVolume:
     """Adjoint of ``forward``; with C = 1 and a full mask this is the identity."""
-    b = np.asarray(b, dtype=np.complex128) * mask.mask[None, :, :, :]
-    if _uniform_single_coil(coils):
+    b = np.asarray(b, dtype=np.complex128) * mask[None, :, :, :]
+    if _uniform_single_coil(maps):
         return KtVolume(grid, b[0])
     imgs = np.fft.ifft2(b, axes=(1, 2), norm="ortho")
-    combined = np.sum(np.conj(coils.maps)[:, :, :, None] * imgs, axis=0)
+    combined = np.sum(np.conj(maps)[:, :, :, None] * imgs, axis=0)
     return KtVolume(grid, np.fft.fft2(combined, axes=(0, 1), norm="ortho"))
 
 
-def add_noise(b, mask: SamplingMask, sigma: float, seed: int = 0):
+def add_noise(b, mask, sigma: float, seed: int = 0):
     """Add i.i.d. complex Gaussian noise (std sigma per real component) on
     sampled entries only; deterministic under the seed."""
     if sigma < 0:
@@ -352,23 +335,23 @@ def add_noise(b, mask: SamplingMask, sigma: float, seed: int = 0):
         return b.copy()
     rng = _rng(seed)
     noise = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
-    return b + sigma * noise * mask.mask[None, :, :, :]
+    return b + sigma * noise * mask[None, :, :, :]
 
 
 def simulate_measurements(
     rho_hat: KtVolume,
-    coils: CoilSet,
-    mask: SamplingMask,
+    maps,
+    mask,
     sigma: float = 0.0,
     seed: int = 0,
     relative: bool = True,
 ) -> Measurements:
     """Sample the volume and add noise; relative sigma is scaled by the mean
     magnitude of the sampled data."""
-    clean = forward(rho_hat, coils, mask)
+    clean = forward(rho_hat, maps, mask)
     sigma_abs = float(sigma)
     if relative and sigma > 0:
-        sampled = np.abs(clean[:, mask.mask])
+        sampled = np.abs(clean[:, mask])
         sigma_abs = float(sigma * sampled.mean())
     noisy = add_noise(clean, mask, sigma_abs, seed=seed)
-    return Measurements(b=noisy, mask=mask, coils=coils)
+    return Measurements(b=noisy, mask=mask, maps=maps)

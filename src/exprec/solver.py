@@ -206,7 +206,7 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult
 
 
 def _data_residual_sq(x, meas, grid):
-    resid = simulate.forward(KtVolume(grid, x), meas.coils, meas.mask) - meas.b
+    resid = simulate.forward(KtVolume(grid, x), meas.maps, meas.mask) - meas.b
     return float(np.vdot(resid, resid).real)
 
 
@@ -256,15 +256,15 @@ def ls_update(
     """
     spec = weights.spec
     mult = fastops.build_normal_multipliers(weights, spec)
-    mask = meas.mask.mask
-    single = simulate._uniform_single_coil(meas.coils)
+    mask = meas.mask
+    single = simulate._uniform_single_coil(meas.maps)
 
     if single:
         rhs = lam * (meas.b[0] * mask)
     else:
         rhs = lam * sum(
             np.conj(s)[:, :, None] * np.fft.ifft2(b * mask, axes=(0, 1), norm="ortho")
-            for s, b in zip(meas.coils.maps, meas.b)
+            for s, b in zip(meas.maps, meas.b)
         )
     require_finite("ls_update right-hand side lam * A* meas.b", rhs)
     x0 = None
@@ -284,7 +284,7 @@ def ls_update(
         result = cg_solve(op, rhs, x0=x0, tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag)
         return KtVolume(spec.grid, result.x), result
 
-    maps = meas.coils.maps
+    maps = meas.maps
     z0 = None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho")
 
     def op(z):
@@ -334,24 +334,19 @@ def _smoothed_reg(eigvals, eps, p):
     return float(np.sum((lam + eps) ** (p / 2.0)) / p)
 
 
-def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig, init=None):
+def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
     """Run the alternating weight / least-squares iteration.
 
-    Starts from the zero-filled volume (the adjoint of the data) unless an
-    explicit ``init`` volume is given.  Returns (KtVolume, SolveReport).
-    Converged once eps is at ``eps_min`` and one round changes the smoothed
-    objective at that eps by at most ``OBJ_STOP_REL`` relative; else it
-    stops, not converged, after ``outer_iters`` rounds.
+    Starts from the zero-filled volume (the adjoint of the data) and returns
+    (KtVolume, SolveReport).  Converged once eps is at ``eps_min`` and one
+    round changes the smoothed objective at that eps by at most
+    ``OBJ_STOP_REL`` relative; else it stops, not converged, after
+    ``outer_iters`` rounds.
     """
     grid = spec.grid
     if meas.b.shape[1:] != grid.shape:
         raise ValueError(f"measurements shape {meas.b.shape} does not match grid {grid.shape}")
-    if init is None:
-        x = simulate.adjoint(meas.b, meas.coils, meas.mask, grid).data
-    else:
-        x = np.asarray(getattr(init, "data", init), dtype=np.complex128).copy()
-        if x.shape != grid.shape:
-            raise ValueError(f"init shape {x.shape} does not match grid {grid.shape}")
+    x = simulate.adjoint(meas.b, meas.maps, meas.mask, grid).data
     eigvals, eigvecs = _gram_eig(x, spec)
     lam_max0 = max(float(eigvals[-1]), 0.0)
     eps = lam_max0 / 100.0 if cfg.eps0 == "auto" else float(cfg.eps0)

@@ -159,12 +159,22 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path):
         assert run("simulate", "--config", tmp_path / "absent.json", "--out", tmp_path) == 65
 
-    def test_invalid_config_schema(self, tmp_path):
-        bad = dict(TINY)
-        bad["mask"] = {"kind": "uniform_random", "fraction": 0.0}
+    @pytest.mark.parametrize("section,values", [
+        ("mask", {"kind": "uniform_random", "fraction": 0.0}),
+        ("mask", {"kind": "vd_cartesian", "acceleration": 2}),
+        # each value below passes the schema alone; the specs reject them
+        ("solver", {"p": 3.0}),
+        ("filter", {"n1": 80}),
+        ("phantom", {"t2_low": 300.0, "t2_high": 100.0}),
+    ], ids=["zero_fraction", "vd_acceleration_2", "solver_p_3", "filter_n1_80",
+            "t2_low_above_high"])
+    def test_invalid_config_schema(self, tmp_path, section, values):
+        bad = json.loads(json.dumps(TINY))
+        bad[section] = values if section == "mask" else {**bad[section], **values}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert run("simulate", "--config", path, "--out", tmp_path / "o") == 65
+        assert run("recon", "--config", path, "--out", tmp_path / "o") == 65
 
     def test_echo_start_key_is_rejected(self, tmp_path):
         # T2 comes from the slope of the log-linear fit, which the echo-time
@@ -202,7 +212,7 @@ class TestPgmContent:
         from exprec.pgm import write_pgm16
 
         img = np.array([[0.0, 0.5, 1.0]])
-        write_pgm16(tmp_path / "w.pgm", img, lo=0.0, hi=1.0)
+        write_pgm16(tmp_path / "w.pgm", img)
         blob = (tmp_path / "w.pgm").read_bytes()
         words = np.frombuffer(blob.rpartition(b"65535\n")[2], dtype=">u2")
         assert list(words) == [0, 32768, 65535]

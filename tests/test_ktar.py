@@ -29,12 +29,12 @@ class TestRoundTrip:
             data = data + 1j * rng.standard_normal(data.shape)
         data = data.astype(np_dtype)
         path = tmp_path / f"{dtype}.ktar"
-        ktar.write_array(path, data, dtype=dtype)
+        ktar.write_array(path, data)
         blob1 = path.read_bytes()
         header, back = ktar.read_array(path)
         assert back.dtype == np.dtype(np_dtype)
         assert np.array_equal(back, data)
-        ktar.write_array(path, back, dtype=dtype)
+        ktar.write_array(path, back)
         assert path.read_bytes() == blob1
 
     def test_meta_round_trip(self, tmp_path):

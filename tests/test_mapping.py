@@ -8,8 +8,8 @@ from exprec import mapping, simulate
 from exprec.mapping import fit_t2, nrmse, recon_ktlowrank, recon_zerofill, snr_db
 
 
-def mono_exp_series(grid, amp, t2, te0=None):
-    te = grid.echo_times(te0)
+def mono_exp_series(grid, amp, t2):
+    te = grid.echo_times()
     data = amp * np.exp(-te / t2)
     return ImageSeries(grid, np.broadcast_to(data, grid.shape).copy())
 
@@ -117,7 +117,7 @@ class TestZerofill:
         g = Grid(8, 8, 3)
         _, kt, meas = make_measurements(g, fraction=0.5)
         rec = recon_zerofill(meas)
-        m = meas.mask.mask
+        m = meas.mask
         scale = np.abs(kt.data).max()
         assert np.abs(rec.data[m] - kt.data[m]).max() < 1e-12 * scale
         assert np.abs(rec.data[~m]).max() == 0.0
@@ -126,7 +126,7 @@ class TestZerofill:
         g = Grid(8, 8, 4)
         _, _, meas = make_measurements(g, fraction=0.4, c=3, sigma=0.01)
         rec = recon_zerofill(meas)
-        want = simulate.adjoint(meas.b, meas.coils, meas.mask, g)
+        want = simulate.adjoint(meas.b, meas.maps, meas.mask, g)
         assert np.array_equal(rec.data, want.data)
 
 

@@ -5,7 +5,6 @@ from exprec.core import Grid, dft2_forward
 from exprec.lifting import FilterSpec, annihilation_certificate, build_lifted
 from exprec import simulate
 from exprec.simulate import (
-    CoilSet,
     PhantomSpec,
     add_noise,
     adjoint,
@@ -88,19 +87,19 @@ class TestCoils:
     def test_single_coil_is_unity(self):
         g = Grid(8, 8, 4)
         coils = make_coils(g, 1, seed=0)
-        assert np.array_equal(coils.maps, np.ones((1, 8, 8)))
+        assert np.array_equal(coils, np.ones((1, 8, 8)))
 
     @pytest.mark.parametrize("c", [2, 4, 8])
     def test_sos_normalized(self, c):
         g = Grid(16, 16, 4)
         coils = make_coils(g, c, seed=4)
-        sos = np.sum(np.abs(coils.maps) ** 2, axis=0)
+        sos = np.sum(np.abs(coils) ** 2, axis=0)
         assert np.abs(sos - 1.0).max() < 1e-10
 
     def test_smoothness(self):
         g = Grid(64, 64, 4)
         coils = make_coils(g, 4, seed=6)
-        for m in np.abs(coils.maps):
+        for m in np.abs(coils):
             gx = np.abs(np.diff(m, axis=0)).max()
             gy = np.abs(np.diff(m, axis=1)).max()
             assert max(gx, gy) < 0.2
@@ -111,35 +110,35 @@ class TestMasks:
         g = Grid(64, 64, 3)
         mask = make_mask(g, "uniform_random", 0.3, seed=1)
         for t in range(g.t):
-            assert mask.mask[:, :, t].sum() == 1229  # round(0.3 * 4096)
+            assert mask[:, :, t].sum() == 1229  # round(0.3 * 4096)
 
     def test_full_fraction(self):
         g = Grid(8, 8, 3)
         mask = make_mask(g, "uniform_random", 1.0, seed=1)
-        assert mask.mask.all()
+        assert mask.all()
 
     def test_frames_differ_and_static_flag(self):
         g = Grid(16, 16, 4)
         varying = make_mask(g, "uniform_random", 0.4, seed=2)
-        assert not np.array_equal(varying.mask[:, :, 0], varying.mask[:, :, 1])
+        assert not np.array_equal(varying[:, :, 0], varying[:, :, 1])
         static = make_mask(g, "uniform_random", 0.4, seed=2, static=True)
         for t in range(1, g.t):
-            assert np.array_equal(static.mask[:, :, 0], static.mask[:, :, t])
+            assert np.array_equal(static[:, :, 0], static[:, :, t])
 
     def test_reproducible_and_seed_sensitive(self):
         g = Grid(16, 16, 3)
         a = make_mask(g, "uniform_random", 0.5, seed=3)
         b = make_mask(g, "uniform_random", 0.5, seed=3)
         c = make_mask(g, "uniform_random", 0.5, seed=4)
-        assert np.array_equal(a.mask, b.mask)
-        assert (a.mask != c.mask).sum() > 0
+        assert np.array_equal(a, b)
+        assert (a != c).sum() > 0
 
     def test_vd_cartesian_acceleration_and_center(self):
         g = Grid(128, 128, 2)
         mask = make_mask(g, "vd_cartesian", 12.0, seed=5, center_block=8)
-        measured = mask.mask.size / mask.mask.sum()
+        measured = mask.size / mask.sum()
         assert 11.4 <= measured <= 12.6
-        frame = mask.mask[:, :, 0]
+        frame = mask[:, :, 0]
         # lattice points only
         assert not frame[1::2, :].any() and not frame[:, 1::2].any()
         # center block fully sampled on the retained lattice
@@ -194,7 +193,7 @@ class TestForwardModel:
         coils = make_coils(g, 1, seed=0)
         mask = make_mask(g, "uniform_random", 0.5, seed=3)
         once = adjoint(forward(kt, coils, mask), coils, mask, g).data
-        assert np.abs(once - kt.data * mask.mask).max() < 1e-12
+        assert np.abs(once - kt.data * mask).max() < 1e-12
         again = adjoint(
             forward(simulate.KtVolume(g, once), coils, mask), coils, mask, g
         ).data
@@ -207,7 +206,7 @@ class TestNoise:
         mask = make_mask(g, "uniform_random", 0.5, seed=1)
         rng = np.random.default_rng(2)
         b = (rng.standard_normal((2, *g.shape)) + 1j * rng.standard_normal((2, *g.shape)))
-        b = b * mask.mask[None]
+        b = b * mask[None]
         assert np.array_equal(add_noise(b, mask, 0.0, seed=3), b)
 
     def test_empirical_std(self):
@@ -215,7 +214,7 @@ class TestNoise:
         mask = make_mask(g, "uniform_random", 0.5, seed=4)
         b = np.zeros((1, *g.shape), dtype=complex)
         noisy = add_noise(b, mask, 2.0, seed=5)
-        vals = noisy[0][mask.mask]
+        vals = noisy[0][mask]
         assert vals.size > 1e5
         assert abs(np.std(vals.real) - 2.0) < 0.04
         assert abs(np.std(vals.imag) - 2.0) < 0.04
@@ -223,9 +222,9 @@ class TestNoise:
     def test_unsampled_stay_zero(self):
         g = Grid(16, 16, 4)
         mask = make_mask(g, "uniform_random", 0.3, seed=6)
-        b = np.ones((2, *g.shape), dtype=complex) * mask.mask[None]
+        b = np.ones((2, *g.shape), dtype=complex) * mask[None]
         noisy = add_noise(b, mask, 1.0, seed=7)
-        assert np.abs(noisy[:, ~mask.mask]).max() == 0.0
+        assert np.abs(noisy[:, ~mask]).max() == 0.0
 
     def test_measurements_zero_off_mask(self):
         g = Grid(8, 8, 3)
@@ -238,8 +237,8 @@ class TestNoise:
         coils = make_coils(g, 2, seed=9)
         mask = make_mask(g, "uniform_random", 0.4, seed=10)
         meas = simulate_measurements(kt, coils, mask, sigma=0.05, seed=11)
-        assert np.abs(meas.b[:, ~mask.mask]).max() == 0.0
+        assert np.abs(meas.b[:, ~mask]).max() == 0.0
         # relative sigma scales with the mean sampled magnitude
         clean = simulate.forward(kt, coils, mask)
-        noisy = add_noise(clean, mask, 0.05 * np.abs(clean[:, mask.mask]).mean(), seed=11)
-        assert np.array_equal(meas.b, noisy * mask.mask[None])
+        noisy = add_noise(clean, mask, 0.05 * np.abs(clean[:, mask]).mean(), seed=11)
+        assert np.array_equal(meas.b, noisy * mask[None])
