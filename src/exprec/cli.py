@@ -88,11 +88,15 @@ def _make_phantom(cfg):
 
 
 def _make_mask(cfg):
+    from .config import ConfigError
     from .simulate import make_mask
 
     doc = cfg.doc["mask"]
-    return make_mask(cfg.grid, cfg.mask_kind, cfg.mask_param, _seeds(cfg)["mask"],
-                     static=doc["static"], center_block=doc["center_block"])
+    try:
+        return make_mask(cfg.grid, cfg.mask_kind, cfg.mask_param, _seeds(cfg)["mask"],
+                         static=doc["static"], center_block=doc["center_block"])
+    except ValueError as exc:  # a mask the grid cannot hold
+        raise ConfigError(f"invalid config: /mask: {exc}") from exc
 
 
 def _write_phantom(cfg, outdir, ph):

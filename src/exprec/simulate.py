@@ -301,27 +301,67 @@ def _uniform_single_coil(maps):
     return maps.shape[0] == 1 and np.all(maps == 1.0)
 
 
+def _lattice(mask):
+    """((dx, dy), mask[::dx, ::dy] / sqrt(dx dy)) for dx the gcd of P and every
+    sampled kx (dy likewise): a P-point DFT at multiples of dx is the (P/dx)-
+    point DFT of the signal folded dx times, over sqrt(dx) in ortho norm."""
+    p, q, _ = mask.shape  # reductions over the leading axes: any(axis=2) is slow
+    sampled = (mask.reshape(p, -1).any(axis=1), mask.any(axis=0).any(axis=1))  # kx, ky
+    dx, dy = (int(np.gcd.reduce(np.flatnonzero(k), initial=n)) for k, n in zip(sampled, (p, q)))
+    return (dx, dy), mask[::dx, ::dy] / np.sqrt(dx * dy)
+
+
+def _coil_forward(img, s, lattice):
+    """M F (s * img) on the lattice: fft2 of the folded coil image, weighted."""
+    (dx, dy), weight = lattice
+    lp, lq = weight.shape[:2]
+    img, s = img.reshape(dx, lp, dy, lq, -1), s.reshape(dx, lp, dy, lq, 1)
+    folded = s[0, :, 0] * img[0, :, 0]
+    for i, j in list(np.ndindex(dx, dy))[1:]:
+        folded += s[i, :, j] * img[i, :, j]
+    return np.fft.fft2(folded, axes=(0, 1), norm="ortho") * weight
+
+
+def _image_adjoint(samples, maps, lattice):
+    """sum_c conj(S_c) F^H M d_c over per-coil lattice samples d_c, the adjoint
+    of ``_coil_forward``: ifft2s at the lattice size tiled back to (P, Q)."""
+    (dx, dy), weight = lattice
+    lp, lq, t = weight.shape
+    tiles = np.zeros((dx, lp, dy, lq, t), dtype=np.complex128)
+    for d, s in zip(samples, maps):
+        img = np.fft.ifft2(d * weight, axes=(0, 1), norm="ortho")
+        s_conj = np.conj(s).reshape(dx, lp, dy, lq, 1)
+        for i, j in np.ndindex(dx, dy):
+            tiles[i, :, j] += s_conj[i, :, j] * img
+    return tiles.reshape(dx * lp, dy * lq, t)
+
+
 def forward(rho_hat: KtVolume, maps, mask):
     """Forward operator: b_ct = mask_t * DFT2(S_c * IDFT2(rho_hat_t)).
 
     With a single uniform coil this reduces to masking, taken literally so
-    the fully sampled single-coil path is exact to the bit.
+    the fully sampled single-coil path is exact to the bit.  Otherwise each
+    coil's FFTs run at the size of the mask's k-space lattice (``_lattice``).
     """
     if _uniform_single_coil(maps):
         return (rho_hat.data * mask)[None, :, :, :]
+    lattice = _lattice(mask)
+    (dx, dy), _ = lattice
     img = np.fft.ifft2(rho_hat.data, axes=(0, 1), norm="ortho")
-    coil_imgs = maps[:, :, :, None] * img[None, :, :, :]
-    b = np.fft.fft2(coil_imgs, axes=(1, 2), norm="ortho")
-    return b * mask[None, :, :, :]
+    b = np.zeros((len(maps),) + mask.shape, dtype=np.complex128)
+    for bc, s in zip(b, maps):
+        bc[::dx, ::dy] = _coil_forward(img, s, lattice)
+    return b
 
 
 def adjoint(b, maps, mask, grid: Grid) -> KtVolume:
     """Adjoint of ``forward``; with C = 1 and a full mask this is the identity."""
-    b = np.asarray(b, dtype=np.complex128) * mask[None, :, :, :]
+    b = np.asarray(b, dtype=np.complex128)
     if _uniform_single_coil(maps):
-        return KtVolume(grid, b[0])
-    imgs = np.fft.ifft2(b, axes=(1, 2), norm="ortho")
-    combined = np.sum(np.conj(maps)[:, :, :, None] * imgs, axis=0)
+        return KtVolume(grid, b[0] * mask)
+    lattice = _lattice(mask)
+    (dx, dy), _ = lattice
+    combined = _image_adjoint(b[:, ::dx, ::dy], maps, lattice)
     return KtVolume(grid, np.fft.fft2(combined, axes=(0, 1), norm="ortho"))
 
 

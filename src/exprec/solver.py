@@ -9,7 +9,7 @@ per iteration) with a Jacobi preconditioner, the exact diagonal of that
 operator.  With several coils CG runs unpreconditioned on the image-domain
 variable ``z = F^H x``, where the penalty is the per-pixel T x T block from
 fastops and the data term ``sum_c conj(S_c) F^H M F S_c`` costs one FFT
-pair per coil.
+pair per coil at the size of the mask's k-space lattice (``simulate._lattice``).
 
 The weights live on one valid-shift set, the valid linear window.  The
 weight Gram, the smoothed objective and the quadratic penalty all refer
@@ -210,16 +210,10 @@ def _data_residual_sq(x, meas, grid):
     return float(np.vdot(resid, resid).real)
 
 
-def _data_normal(z, maps, mask):
-    """sum_c conj(S_c) F^H M F (S_c z) on an image-domain volume."""
-    out = np.zeros_like(z)
-    for s in maps:
-        d = np.fft.fft2(z * s[:, :, None], axes=(0, 1), norm="ortho")
-        d *= mask
-        d = np.fft.ifft2(d, axes=(0, 1), norm="ortho")
-        d *= np.conj(s)[:, :, None]
-        out += d
-    return out
+def _data_normal(z, maps, lattice):
+    """sum_c conj(S_c) F^H M F (S_c z) on an image-domain volume, FFTs at lattice size."""
+    samples = (simulate._coil_forward(z, s, lattice) for s in maps)
+    return simulate._image_adjoint(samples, maps, lattice)
 
 
 def _jacobi_inverse(mult, lam_mask):
@@ -248,11 +242,11 @@ def ls_update(
     With one uniform coil A* A is the k-space mask M, so CG runs in k-space
     on ``apply_normal + lam M`` (one FFT pair per iteration), preconditioned
     by that operator's exact diagonal.  With several coils CG runs
-    unpreconditioned on z = F^H x, where the penalty is a per-pixel matmul
-    and the data term costs one FFT pair per coil; the change of variables is
-    unitary, so iterates and residual norms are those of the k-space solve.
-    Returns (KtVolume, CgResult) in k-space.  The quadratic objective at the
-    result never exceeds its value at the warm start.
+    unpreconditioned on the unitary change of variables z = F^H x: the
+    penalty is a per-pixel matmul, the data term one FFT pair per coil at the
+    size of the mask's k-space lattice (``simulate._lattice``, found once
+    here).  Returns (KtVolume, CgResult) in k-space; the quadratic objective
+    at the result never exceeds its value at the warm start.
     """
     spec = weights.spec
     mult = fastops.build_normal_multipliers(weights, spec)
@@ -262,10 +256,9 @@ def ls_update(
     if single:
         rhs = lam * (meas.b[0] * mask)
     else:
-        rhs = lam * sum(
-            np.conj(s)[:, :, None] * np.fft.ifft2(b * mask, axes=(0, 1), norm="ortho")
-            for s, b in zip(meas.maps, meas.b)
-        )
+        lattice = simulate._lattice(mask)
+        (dx, dy), _ = lattice
+        rhs = lam * simulate._image_adjoint(meas.b[:, ::dx, ::dy], meas.maps, lattice)
     require_finite("ls_update right-hand side lam * A* meas.b", rhs)
     x0 = None
     if warm_start is not None:
@@ -284,11 +277,10 @@ def ls_update(
         result = cg_solve(op, rhs, x0=x0, tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag)
         return KtVolume(spec.grid, result.x), result
 
-    maps = meas.maps
     z0 = None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho")
 
     def op(z):
-        d = _data_normal(z, maps, mask)
+        d = _data_normal(z, meas.maps, lattice)
         d *= lam
         d += fastops.apply_block(mult, z)
         return d

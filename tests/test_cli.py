@@ -176,6 +176,18 @@ class TestErrors:
         assert run("simulate", "--config", path, "--out", tmp_path / "o") == 65
         assert run("recon", "--config", path, "--out", tmp_path / "o") == 65
 
+    @pytest.mark.parametrize("mask", [
+        {"kind": "vd_cartesian", "acceleration": 200},
+        {"kind": "uniform_random", "fraction": 0.001},
+    ], ids=["vd_fewer_than_center_block", "uniform_zero_samples"])
+    def test_infeasible_mask_is_data_error(self, tmp_path, mask, capsys):
+        # each passes the schema; only make_mask sees that the grid cannot hold it
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(dict(TINY, mask=mask)))
+        for command in ("mask", "simulate"):
+            assert run(command, "--config", path, "--out", tmp_path / "o") == 65
+        assert "internal error" not in capsys.readouterr().err
+
     def test_echo_start_key_is_rejected(self, tmp_path):
         # T2 comes from the slope of the log-linear fit, which the echo-time
         # origin does not change, so the config has no key for it

@@ -3,7 +3,7 @@ import pytest
 
 from exprec.core import Grid, dft2_forward
 from exprec.lifting import FilterSpec, annihilation_certificate, build_lifted
-from exprec import simulate
+from exprec import simulate, solver
 from exprec.simulate import (
     PhantomSpec,
     add_noise,
@@ -159,8 +159,70 @@ class TestMasks:
             make_mask(g, "radial", 0.3)
 
 
+def _literal_forward(x, maps, mask):
+    """mask * fft2(S_c * ifft2(x)) per coil, with full-size FFTs."""
+    img = np.fft.ifft2(x, axes=(0, 1), norm="ortho")
+    return np.stack([mask * np.fft.fft2(s[:, :, None] * img, axes=(0, 1), norm="ortho")
+                     for s in maps])
+
+
+def _literal_adjoint(b, maps, mask):
+    """fft2(sum_c conj(S_c) * ifft2(mask * b_c)), with full-size FFTs."""
+    img = sum(np.conj(s)[:, :, None] * np.fft.ifft2(mask * bc, axes=(0, 1), norm="ortho")
+              for s, bc in zip(maps, b))
+    return np.fft.fft2(img, axes=(0, 1), norm="ortho")
+
+
+def _anisotropic_mask(g, step_y, seed):
+    """Random samples on every kx and on the ky multiples of step_y only."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[:, ::step_y] = rng.random((g.p, g.q // step_y, g.t)) < 0.5
+    return mask
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestLatticeOperator:
+    """forward, adjoint and the CG data term run their FFTs at the size of
+    the mask's k-space lattice; pin them to the full-size literal formula."""
+
+    CASES = {
+        "uniform_random": (Grid(8, 8, 3), (1, 1)),
+        "vd_cartesian": (Grid(16, 16, 3), (2, 2)),
+        "anisotropic": (Grid(8, 12, 3), (1, 4)),
+    }
+
+    def _mask(self, kind, g):
+        if kind == "uniform_random":
+            return make_mask(g, kind, 0.4, seed=2)
+        if kind == "vd_cartesian":
+            return make_mask(g, kind, 6.0, seed=2, center_block=4)
+        return _anisotropic_mask(g, 4, seed=2)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_matches_literal_formula(self, kind):
+        g, step = self.CASES[kind]
+        mask = self._mask(kind, g)
+        lattice = simulate._lattice(mask)
+        assert lattice[0] == step
+        coils = make_coils(g, 3, seed=1)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        y = rng.standard_normal((3, *g.shape)) + 1j * rng.standard_normal((3, *g.shape))
+        fwd = _literal_forward(x, coils, mask)
+        assert _rel(forward(simulate.KtVolume(g, x), coils, mask), fwd) <= 1e-13
+        assert _rel(adjoint(y, coils, mask, g).data, _literal_adjoint(y, coils, mask)) <= 1e-13
+        # the data term acts on z = F^H x, the image-domain CG variable
+        z = np.fft.ifft2(x, axes=(0, 1), norm="ortho")
+        want = np.fft.ifft2(_literal_adjoint(fwd, coils, mask), axes=(0, 1), norm="ortho")
+        assert _rel(solver._data_normal(z, coils, lattice), want) <= 1e-13
+
+
 class TestForwardModel:
-    def _setup(self, c=3, frac=0.4, seed=0):
+    def _setup(self, c=3, frac=0.4, seed=0, kind="uniform_random"):
         g = Grid(8, 8, 3)
         rng = np.random.default_rng(seed)
         kt = dft2_forward(
@@ -169,7 +231,10 @@ class TestForwardModel:
             )
         )
         coils = make_coils(g, c, seed=seed + 1)
-        mask = make_mask(g, "uniform_random", frac, seed=seed + 2)
+        if kind == "vd_cartesian":
+            mask = make_mask(g, kind, 6.0, seed=seed + 2, center_block=2)
+        else:
+            mask = make_mask(g, kind, frac, seed=seed + 2)
         return g, kt, coils, mask
 
     def test_identity_with_single_coil_full_mask(self):
@@ -179,8 +244,9 @@ class TestForwardModel:
         b = forward(kt, coils, mask)
         assert np.abs(b[0] - kt.data).max() < 1e-12
 
-    def test_adjoint_identity(self):
-        g, kt, coils, mask = self._setup(c=3, frac=0.4)
+    @pytest.mark.parametrize("kind", ["uniform_random", "vd_cartesian"])
+    def test_adjoint_identity(self, kind):
+        g, kt, coils, mask = self._setup(c=3, frac=0.4, kind=kind)
         rng = np.random.default_rng(9)
         y = rng.standard_normal((3, *g.shape)) + 1j * rng.standard_normal((3, *g.shape))
         ax = forward(kt, coils, mask)

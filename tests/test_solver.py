@@ -21,14 +21,20 @@ def random_volume(grid, seed=0):
 
 
 def make_problem(grid, n1=3, n2=3, nt=2, fraction=0.5, c=1, sigma=0.0, seed=0,
-                 kind="bandlimited_exact", bandwidth=1, t2=(30.0, 120.0)):
+                 kind="bandlimited_exact", bandwidth=1, t2=(30.0, 120.0), acceleration=None):
+    """A measured phantom; a uniform random mask of ``fraction``, or a
+    ``vd_cartesian`` one (2x2 k-space lattice) when ``acceleration`` is given."""
     ph = simulate.make_phantom(
         simulate.PhantomSpec(grid, kind=kind, bandwidth=bandwidth, t2_low=t2[0], t2_high=t2[1]),
         seed=seed,
     )
     kt = dft2_forward(ph.series)
     coils = simulate.make_coils(grid, c, seed=seed + 1)
-    mask = simulate.make_mask(grid, "uniform_random", fraction, seed=seed + 2)
+    if acceleration is None:
+        mask = simulate.make_mask(grid, "uniform_random", fraction, seed=seed + 2)
+    else:
+        mask = simulate.make_mask(grid, "vd_cartesian", acceleration, seed=seed + 2,
+                                  center_block=2)
     meas = simulate.simulate_measurements(kt, coils, mask, sigma=sigma, seed=seed + 3)
     return kt, meas, FilterSpec(n1, n2, nt, grid)
 
@@ -204,19 +210,30 @@ class TestLsUpdate:
         assert np.abs(vol.data[~m]).max() <= 1e-10 * scale
 
     def test_cg_matches_dense_oracle(self):
-        # one uniform coil and C = 3 coils: both data-term paths of the CG operator
+        # one uniform coil and C = 3 coils, the latter on a uniform random mask
+        # and on a 2x2-lattice one: every data-term path of the CG operator.
+        # The dense data term is the literal full-size FFT formula, not the
+        # simulate operators the solver shares.
         g = Grid(8, 8, 4)
-        for c, seed in ((1, 4), (3, 7)):
-            kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=seed)
+
+        def literal_adjoint(b, maps, mask):
+            img = sum(np.conj(s)[:, :, None] * np.fft.ifft2(mask * bc, axes=(0, 1), norm="ortho")
+                      for s, bc in zip(maps, b))
+            return np.fft.fft2(img, axes=(0, 1), norm="ortho")
+
+        def literal_normal(x, maps, mask):
+            img = np.fft.ifft2(x, axes=(0, 1), norm="ortho")
+            b = [np.fft.fft2(s[:, :, None] * img, axes=(0, 1), norm="ortho") for s in maps]
+            return literal_adjoint(b, maps, mask)
+
+        for c, seed, accel in ((1, 4, None), (3, 7, None), (3, 7, 6.0)):
+            kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=seed, acceleration=accel)
             w = weight_update(kt.data, spec, p=0.6, eps=0.1)
             lam = 7.0
             mult = fastops.build_normal_multipliers(w, spec)
 
             def op(x):
-                vol = KtVolume(g, x)
-                ata = simulate.adjoint(
-                    simulate.forward(vol, meas.maps, meas.mask), meas.maps, meas.mask, g
-                ).data
+                ata = literal_normal(x, meas.maps, meas.mask)
                 return fastops.apply_normal(mult, x) + lam * ata
 
             n = g.p * g.q * g.t
@@ -225,7 +242,7 @@ class TestLsUpdate:
                 e = np.zeros(n, dtype=complex)
                 e[j] = 1.0
                 dense[:, j] = op(e.reshape(g.shape)).ravel()
-            rhs = lam * simulate.adjoint(meas.b, meas.maps, meas.mask, g).data
+            rhs = lam * literal_adjoint(meas.b, meas.maps, meas.mask)
             want = np.linalg.solve(dense, rhs.ravel()).reshape(g.shape)
             vol, cg = ls_update(w, meas, lam, cg_iters=3000, cg_tol=1e-13)
             assert cg.stop == "tol"
