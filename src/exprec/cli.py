@@ -21,6 +21,10 @@ EXIT_DATA = 65
 EXIT_INTERNAL = 70
 
 
+class DataError(ValueError):
+    """An input file whose shape does not fit the config's grid."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -55,14 +59,13 @@ def _load_config(args):
     ref = args.config
     if ref.startswith("preset:"):
         return load_preset(ref[len("preset:") :], seed=args.seed)
-    if not Path(ref).exists():
-        raise FileNotFoundError(f"config file not found: {ref}")
     return ExperimentConfig.from_json(ref, seed=args.seed)
 
 
 def _seeds(cfg):
-    s = cfg.seed
-    return {"phantom": s, "coils": s + 1, "mask": s + 2, "noise": s + 3}
+    """Per-stage seeds: the config seed plus 0-3, wrapped to stay a u64."""
+    names = ("phantom", "coils", "mask", "noise")
+    return {name: (cfg.seed + i) % 2**64 for i, name in enumerate(names)}
 
 
 def _write(outdir, name, data, cfg):
@@ -72,13 +75,19 @@ def _write(outdir, name, data, cfg):
     ktar.write_array(outdir / name, data, meta={"config_hash": cfg.config_hash})
 
 
-def _read(outdir, name):
+def _read(outdir, name, shape=None):
+    """One pipeline array; given ``shape`` (None on an axis of any length), it must fit."""
     from . import ktar
 
     path = outdir / name
     if not path.exists():
         raise FileNotFoundError(f"missing input {path}; run the earlier pipeline stage first")
-    return ktar.read_array(path)[1]
+    data = ktar.read_array(path)[1]
+    if shape is not None and (
+        data.ndim != len(shape) or any(w not in (None, n) for w, n in zip(shape, data.shape))
+    ):
+        raise DataError(f"{path} has shape {data.shape}; the config's grid needs {shape}")
+    return data
 
 
 def _make_phantom(cfg):
@@ -133,14 +142,15 @@ def cmd_simulate(cfg, outdir):
     return EXIT_OK
 
 
-def _load_measurements(outdir):
+def _load_measurements(cfg, outdir):
     import numpy as np
 
     from .simulate import Measurements
 
-    b = _read(outdir, "meas.ktar")
-    mask = _read(outdir, "mask.ktar") > 0.5
-    maps = _read(outdir, "coils.ktar").astype(np.complex128)
+    p, q, t = cfg.grid.shape
+    b = _read(outdir, "meas.ktar", (None, p, q, t))
+    maps = _read(outdir, "coils.ktar", (len(b), p, q)).astype(np.complex128)
+    mask = _read(outdir, "mask.ktar", (p, q, t)) > 0.5
     return Measurements(b=b.astype(np.complex128), mask=mask, maps=maps)
 
 
@@ -150,7 +160,7 @@ def cmd_recon(cfg, outdir, method):
     from .mapping import recon_ktlowrank, recon_zerofill
     from .solver import irls_solve
 
-    meas = _load_measurements(outdir)
+    meas = _load_measurements(cfg, outdir)
     status = EXIT_OK
     if method == "zerofill":
         vol = recon_zerofill(meas)
@@ -199,7 +209,7 @@ def cmd_fit(cfg, outdir, method):
     from .core import KtVolume, dft2_inverse
     from .mapping import fit_t2
 
-    recon = _read(outdir, f"recon_{method}.ktar")
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape)
     series = dft2_inverse(KtVolume(cfg.grid, recon))
     t2map = fit_t2(series, cfg.echo_times, support=_support_from_truth(outdir))
     _write(outdir, f"t2_{method}.ktar", t2map.t2, cfg)
@@ -214,7 +224,7 @@ def cmd_eval(cfg, outdir, method):
 
     t0 = time.perf_counter()
     truth_series = _read(outdir, "phantom.ktar")
-    recon = _read(outdir, f"recon_{method}.ktar")
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape)
     # compare in k-t space; the per-frame DFT is unitary so SNR and NRMSE
     # match the image-domain values, and the noiseless identity pipeline
     # stays exact to the bit
@@ -241,7 +251,7 @@ def cmd_render(cfg, outdir, method):
     from .core import KtVolume, dft2_inverse
     from .pgm import render_map
 
-    recon = _read(outdir, f"recon_{method}.ktar")
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape)
     series = dft2_inverse(KtVolume(cfg.grid, recon)).data
     rdir = outdir / "renders"
     rdir.mkdir(parents=True, exist_ok=True)
@@ -290,7 +300,7 @@ def main(argv=None) -> int:
         from .config import ConfigError
         from .ktar import KtarError
 
-        if isinstance(exc, (ConfigError, KtarError)):
+        if isinstance(exc, (ConfigError, DataError, KtarError)):
             print(f"exprec: {exc}", file=sys.stderr)
             return EXIT_DATA
         print(f"exprec: internal error: {exc}", file=sys.stderr)

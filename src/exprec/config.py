@@ -37,7 +37,7 @@ SCHEMA = {
     "required": ["grid", "phantom", "coils", "mask", "filter", "solver", "seed"],
     "properties": {
         "name": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "grid": {
             "type": "object",
             "additionalProperties": False,
@@ -93,9 +93,7 @@ SCHEMA = {
             "properties": {
                 "p": _POSNUM,
                 "lam": _POSNUM,
-                "eps0": {"anyOf": [_POSNUM, {"const": "auto"}]},
                 "eps_decay": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "eps_min": {"anyOf": [{"type": "number", "minimum": 0}, {"const": "auto"}]},
                 "outer_iters": _POSINT,
                 "cg_iters": _POSINT,
                 "cg_tol": _POSNUM,
@@ -181,11 +179,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, seed=None):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         return cls.from_doc(doc, seed=seed)
 
     def canonical_json(self) -> str:

@@ -11,12 +11,13 @@ building blocks:
   valid-shift rows (restriction picks full circular rows or the valid
   linear window), assembled from FFT masked correlations so no lifted
   matrix is formed;
-* ``assemble_gram_circulant``: the circulant-approximate Gram in which
-  the sum over the N1 x N2 spatial filter taps is extended to the whole
-  (circular) grid.  Each temporal block pair then becomes a sum of Nt
-  frame-pair cross-correlations sampled at spatial shift differences.
-  This is the Gram of the spatially circularized lifting that also
-  underlies ``NormalMultipliers``, and is what the IRLS solver uses;
+* ``assemble_gram_circulant``: the circulant-approximate Gram over the
+  valid linear window, in which the sum over the N1 x N2 spatial filter
+  taps is extended to the whole (circular) grid.  Each temporal block is
+  then one inverse FFT of a cross-power spectrum summed over Nt frames,
+  sampled at the spatial shift differences.  This is the Gram of the
+  spatially circularized lifting that also underlies ``NormalMultipliers``,
+  and is what the IRLS solver uses;
 * ``build_normal_multipliers`` / ``apply_block``: exact collapse of the
   filter-bank penalty ``sum_i ||correlate(h_i, x)||^2`` (full circular
   spatial lags, Nt temporal taps) into one T x T block per pixel, so in the
@@ -124,8 +125,8 @@ def _guard_rows(spec, restriction):
     total = spec.k * fx.size
     if total > GRAM_MAX_ROWS:
         raise GramSizeError(
-            f"Gram would have {total} rows (> {GRAM_MAX_ROWS}); use restriction="
-            f"'valid_linear' or a smaller grid"
+            f"Gram would have {total} rows (> {GRAM_MAX_ROWS}); use a smaller grid, "
+            f"or restriction='valid_linear' for the exact Gram"
         )
     return fx.size
 
@@ -189,41 +190,32 @@ def assemble_gram(rho_hat, spec: FilterSpec, restriction: str = "valid_linear") 
     return GramMatrix(out)
 
 
-def assemble_gram_circulant(
-    rho_hat, spec: FilterSpec, restriction: str = "valid_linear"
-) -> GramMatrix:
+def assemble_gram_circulant(rho_hat, spec: FilterSpec) -> GramMatrix:
     """Circulant-approximate Gram: spatial tap sums extended to the grid.
 
-    Block (tau, tau') holds ``sum_lt g_(a,b)[m - m']`` with frame pair
-    ``a = tau + Nt - 1 - lt``, ``b = tau' + Nt - 1 - lt`` and g the full
-    circular cross-correlation, so each block is a sampled circulant.
-    Exactly the Gram of the spatially circularized lifting; agrees with
-    ``assemble_gram`` when N1 x N2 covers the whole grid.
+    Block (tau, tau') holds ``g[m - m']`` on the valid linear window, where
+    ``g = ifft2(sum_j X_(tau+j) conj(X_(tau'+j)))`` over j < Nt and X is the
+    spatial DFT of the volume, so each block is a sampled circulant.  One
+    cross-power, one ``ifft2`` and one gather per upper block; the lower
+    blocks are their conjugate transposes, so the result is exactly
+    Hermitian.  Exactly the Gram of the spatially circularized lifting;
+    agrees with ``assemble_gram`` when N1 x N2 covers the whole grid.
     """
     x = _as_volume(rho_hat, spec)
-    nr = _guard_rows(spec, restriction)
+    nr = _guard_rows(spec, "valid_linear")
     p, q, _ = spec.grid.shape
-    nt, k = spec.nt, spec.k
-    fx, fy = _row_positions(spec, restriction)
-    flat = (((fx[:, None] - fx[None, :]) % p) * q + (fy[:, None] - fy[None, :]) % q).ravel()
-
-    ff = np.fft.fft2(x, axes=(0, 1))
-    ffc = np.conj(ff)
-    cache = {}
-    for a, b in _needed_frame_pairs(spec):
-        cache[(a, b)] = np.fft.ifft2(ff[:, :, a] * ffc[:, :, b]).ravel()
-
-    def block(tau, tau2):
-        gs = cache[(tau + nt - 1, tau2 + nt - 1)].copy()
-        for lt in range(1, nt):
-            gs += cache[(tau + nt - 1 - lt, tau2 + nt - 1 - lt)]
-        return gs.take(flat).reshape(nr, nr)
-
-    # Hermitian part (B + B^H) / 2, one block pair at a time: no m x m temporary
+    k = spec.k
+    fx, fy = _row_positions(spec, "valid_linear")
+    flat = ((fx[:, None] - fx[None, :]) % p) * q + (fy[:, None] - fy[None, :]) % q
+    # win[:, :, tau] holds the Nt spatial spectra X_tau .. X_(tau+Nt-1)
+    win = np.lib.stride_tricks.sliding_window_view(np.fft.fft2(x, axes=(0, 1)), spec.nt, axis=2)
     out = np.empty((k * nr, k * nr), dtype=np.complex128)
     for tau in range(k):
         for tau2 in range(tau, k):
-            blk = 0.5 * (block(tau, tau2) + block(tau2, tau).conj().T)
+            cross = np.einsum("pqj,pqj->pq", win[:, :, tau], win[:, :, tau2].conj())
+            blk = np.fft.ifft2(cross).take(flat)
+            if tau == tau2:
+                blk = 0.5 * (blk + blk.conj().T)
             out[tau * nr : (tau + 1) * nr, tau2 * nr : (tau2 + 1) * nr] = blk
             out[tau2 * nr : (tau2 + 1) * nr, tau * nr : (tau + 1) * nr] = blk.conj().T
     return GramMatrix(out)

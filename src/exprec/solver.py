@@ -55,9 +55,7 @@ class SolverError(RuntimeError):
 class SolverConfig:
     p: float = 0.6
     lam: float = 1e6
-    eps0: float | str = "auto"
     eps_decay: float = 0.25
-    eps_min: float | str = "auto"
     outer_iters: int = 30
     cg_iters: int = 200
     cg_tol: float = 1e-8
@@ -69,10 +67,6 @@ class SolverConfig:
             raise ValueError("lam must be positive")
         if not 0 < self.eps_decay < 1:
             raise ValueError("eps_decay must be in (0, 1)")
-        if self.eps0 != "auto" and not self.eps0 > 0:
-            raise ValueError("eps0 must be positive or 'auto'")
-        if self.eps_min != "auto" and not self.eps_min >= 0:
-            raise ValueError("eps_min must be >= 0 or 'auto'")
         if self.outer_iters < 1 or self.cg_iters < 1:
             raise ValueError("iteration counts must be >= 1")
         if not self.cg_tol > 0:
@@ -330,8 +324,10 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
     """Run the alternating weight / least-squares iteration.
 
     Starts from the zero-filled volume (the adjoint of the data) and returns
-    (KtVolume, SolveReport).  Converged once eps is at ``eps_min`` and one
-    round changes the smoothed objective at that eps by at most
+    (KtVolume, SolveReport).  eps starts at lambda_max(R_0) / 100, with R_0
+    the Gram of that start, and decays by ``eps_decay`` per round down to
+    ``eps_min = 1e-9 lambda_max(R_0)``.  Converged once eps is at ``eps_min``
+    and one round changes the smoothed objective at that eps by at most
     ``OBJ_STOP_REL`` relative; else it stops, not converged, after
     ``outer_iters`` rounds.
     """
@@ -341,10 +337,10 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
     x = simulate.adjoint(meas.b, meas.maps, meas.mask, grid).data
     eigvals, eigvecs = _gram_eig(x, spec)
     lam_max0 = max(float(eigvals[-1]), 0.0)
-    eps = lam_max0 / 100.0 if cfg.eps0 == "auto" else float(cfg.eps0)
+    eps = lam_max0 / 100.0
     if eps <= 0:
         eps = 1.0  # degenerate all-zero start; any positive eps works
-    eps_min = 1e-9 * lam_max0 if cfg.eps_min == "auto" else float(cfg.eps_min)
+    eps_min = 1e-9 * lam_max0
     data_sq = _data_residual_sq(x, meas, grid)
 
     records = []

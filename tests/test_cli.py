@@ -156,18 +156,60 @@ class TestErrors:
             run("recon", "--config", tiny_config, "--out", tmp_path, "--threads", "1")
         assert info.value.code == 64
 
-    def test_missing_config_file(self, tmp_path):
-        assert run("simulate", "--config", tmp_path / "absent.json", "--out", tmp_path) == 65
+    @pytest.mark.parametrize("kind", ["absent", "directory", "not_utf8"])
+    def test_missing_config_file(self, tmp_path, kind, capsys):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        assert run("simulate", "--config", path, "--out", tmp_path / "o") == 65
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_seed_range_is_u64(self, tmp_path, tiny_config, capsys):
+        top = 2**64 - 1
+        assert run("simulate", "--config", tiny_config, "--out", tmp_path / "a",
+                   "--seed", top) == 0
+        capsys.readouterr()
+        assert run("simulate", "--config", tiny_config, "--out", tmp_path / "b",
+                   "--seed", top + 1) == 65
+        assert "/seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes", [
+        {"grid": {"p": 12}, "filter": {"n1": 9}},
+        {"grid": {"t": 8}},
+    ], ids=["p_12", "t_8"])
+    def test_inputs_off_the_config_grid_are_data_errors(self, tmp_path, changes, capsys):
+        two = dict(TINY, coils={"count": 2})
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(two))
+        other = json.loads(json.dumps(two))
+        for section, values in changes.items():
+            other[section].update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(other))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", good, "--out", out) == 0
+        assert run("recon", "--config", good, "--out", out, "--method", "zerofill") == 0
+        capsys.readouterr()
+        for method in ("zerofill", "ktlr", "proposed"):
+            assert run("recon", "--config", bad, "--out", out, "--method", method) == 65
+            assert "meas.ktar has shape (2, 16, 16, 6)" in capsys.readouterr().err
+        assert run("fit", "--config", bad, "--out", out, "--method", "zerofill") == 65
+        assert "recon_zerofill.ktar has shape (16, 16, 6)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,values", [
         ("mask", {"kind": "uniform_random", "fraction": 0.0}),
         ("mask", {"kind": "vd_cartesian", "acceleration": 2}),
+        # eps runs from lambda_max(R_0) / 100 down to 1e-9 lambda_max(R_0)
+        ("solver", {"eps0": 1e-3}),
+        ("solver", {"eps_min": 0.0}),
         # each value below passes the schema alone; the specs reject them
         ("solver", {"p": 3.0}),
         ("filter", {"n1": 80}),
         ("phantom", {"t2_low": 300.0, "t2_high": 100.0}),
-    ], ids=["zero_fraction", "vd_acceleration_2", "solver_p_3", "filter_n1_80",
-            "t2_low_above_high"])
+    ], ids=["zero_fraction", "vd_acceleration_2", "solver_eps0", "solver_eps_min",
+            "solver_p_3", "filter_n1_80", "t2_low_above_high"])
     def test_invalid_config_schema(self, tmp_path, section, values):
         bad = json.loads(json.dumps(TINY))
         bad[section] = values if section == "mask" else {**bad[section], **values}

@@ -83,7 +83,7 @@ class TestWeightMath:
         x = random_volume(g, 5)
         p, eps = 0.6, 0.1
         w = weight_update(x, spec, p=p, eps=eps)
-        r = fastops.assemble_gram_circulant(x, spec, "valid_linear").matrix
+        r = fastops.assemble_gram_circulant(x, spec).matrix
         lam, u = np.linalg.eigh(r)
         want = (u * (np.clip(lam, 0, None) + eps) ** (p / 2.0 - 1.0)) @ u.conj().T
         got = w.weight_matrix()
@@ -339,10 +339,14 @@ class TestIrls:
         assert err <= 1e-4
         assert len(report.records) == 1
 
-    def test_objective_monotone_at_fixed_eps_over_seeds(self):
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_objective_monotone_at_fixed_eps_over_seeds(self, c):
+        # three coils run the image-domain CG, on a 2x2-lattice mask
         g = Grid(8, 8, 4)
+        accel = None if c == 1 else 4.0
         for seed in range(10):
-            kt, meas, spec = make_problem(g, fraction=0.5, seed=seed, kind="regions_smoothed")
+            kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=seed,
+                                          kind="regions_smoothed", acceleration=accel)
             cfg = SolverConfig(p=0.6, lam=10.0, outer_iters=6, cg_iters=150, cg_tol=1e-10)
             _, report = irls_solve(meas, spec, cfg)
             for rec in report.records:
@@ -370,7 +374,7 @@ class TestIrls:
         # solve back to it: recovery error far below 1e-3
         g, kt, meas, spec = self._bandlimited_instance()
         lam_max = np.linalg.eigvalsh(
-            fastops.assemble_gram_circulant(kt.data, spec, "valid_linear").matrix
+            fastops.assemble_gram_circulant(kt.data, spec).matrix
         )[-1]
         w = weight_update(kt.data, spec, p=0.6, eps=1e-9 * lam_max)
         vol, _ = ls_update(w, meas, lam=1e6, cg_iters=3000, cg_tol=1e-13)
