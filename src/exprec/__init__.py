@@ -17,7 +17,7 @@ _EXPORTS = {
     "core": ["Grid", "ImageSeries", "KtVolume", "dft2_forward", "dft2_inverse"],
     "lifting": ["FilterSpec", "AnnihilationCertificate", "build_lifted",
                 "apply_lifted_adjoint", "annihilation_certificate"],
-    "solver": ["SolverConfig", "SolveReport", "WeightSet", "irls_solve"],
+    "solver": ["SolverConfig", "SolveReport", "irls_solve"],
     "simulate": ["PhantomSpec", "Phantom", "Measurements", "make_phantom", "make_coils",
                  "make_mask", "simulate_measurements"],
     "mapping": ["T2Map", "fit_t2", "snr_db", "nrmse", "recon_zerofill", "recon_ktlowrank"],

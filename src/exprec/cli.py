@@ -22,7 +22,7 @@ EXIT_INTERNAL = 70
 
 
 class DataError(ValueError):
-    """An input file whose shape does not fit the config's grid."""
+    """An input file whose shape or config hash does not fit the run's config."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,18 +75,24 @@ def _write(outdir, name, data, cfg):
     ktar.write_array(outdir / name, data, meta={"config_hash": cfg.config_hash})
 
 
-def _read(outdir, name, shape=None):
-    """One pipeline array; given ``shape`` (None on an axis of any length), it must fit."""
+def _read(outdir, name, shape, cfg=None):
+    """One pipeline array, which must fit ``shape`` (None on an axis of any
+    length); given ``cfg``, it must also be stamped with ``cfg.config_hash``."""
     from . import ktar
 
     path = outdir / name
     if not path.exists():
         raise FileNotFoundError(f"missing input {path}; run the earlier pipeline stage first")
-    data = ktar.read_array(path)[1]
-    if shape is not None and (
-        data.ndim != len(shape) or any(w not in (None, n) for w, n in zip(shape, data.shape))
-    ):
+    header, data = ktar.read_array(path)
+    if data.ndim != len(shape) or any(w not in (None, n) for w, n in zip(shape, data.shape)):
         raise DataError(f"{path} has shape {data.shape}; the config's grid needs {shape}")
+    if cfg is not None:
+        stamp = header.meta.get("config_hash") if isinstance(header.meta, dict) else None
+        if stamp != cfg.config_hash:
+            raise DataError(
+                f"{path} was written under config hash {stamp}, "
+                f"but this run's config hash is {cfg.config_hash}"
+            )
     return data
 
 
@@ -198,10 +204,10 @@ def _warn_cg_stops(records):
         )
 
 
-def _support_from_truth(outdir):
+def _support_from_truth(cfg, outdir):
     import numpy as np
 
-    amp = _read(outdir, "truth_amp.ktar")
+    amp = _read(outdir, "truth_amp.ktar", (None, cfg.grid.p, cfg.grid.q))
     return np.abs(amp[0]) > 0
 
 
@@ -209,9 +215,9 @@ def cmd_fit(cfg, outdir, method):
     from .core import KtVolume, dft2_inverse
     from .mapping import fit_t2
 
-    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape)
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
     series = dft2_inverse(KtVolume(cfg.grid, recon))
-    t2map = fit_t2(series, cfg.echo_times, support=_support_from_truth(outdir))
+    t2map = fit_t2(series, cfg.echo_times, support=_support_from_truth(cfg, outdir))
     _write(outdir, f"t2_{method}.ktar", t2map.t2, cfg)
     return EXIT_OK
 
@@ -223,15 +229,16 @@ def cmd_eval(cfg, outdir, method):
     from .mapping import nrmse, snr_db
 
     t0 = time.perf_counter()
-    truth_series = _read(outdir, "phantom.ktar")
-    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape)
+    p, q, _ = cfg.grid.shape
+    truth_series = _read(outdir, "phantom.ktar", cfg.grid.shape)
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
     # compare in k-t space; the per-frame DFT is unitary so SNR and NRMSE
     # match the image-domain values, and the noiseless identity pipeline
     # stays exact to the bit
     truth_kt = dft2_forward(ImageSeries(cfg.grid, truth_series)).data
-    t2_fit = _read(outdir, f"t2_{method}.ktar")
-    t2_true = _read(outdir, "truth_t2.ktar")[0]
-    support = _support_from_truth(outdir)
+    t2_fit = _read(outdir, f"t2_{method}.ktar", (p, q), cfg)
+    t2_true = _read(outdir, "truth_t2.ktar", (None, p, q))[0]
+    support = _support_from_truth(cfg, outdir)
     snr = snr_db(truth_kt, recon)
     err = nrmse(truth_kt, recon)
     mae = float(np.mean(np.abs(t2_fit[support] - t2_true[support])))
@@ -251,7 +258,7 @@ def cmd_render(cfg, outdir, method):
     from .core import KtVolume, dft2_inverse
     from .pgm import render_map
 
-    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape)
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
     series = dft2_inverse(KtVolume(cfg.grid, recon)).data
     rdir = outdir / "renders"
     rdir.mkdir(parents=True, exist_ok=True)
@@ -259,10 +266,11 @@ def cmd_render(cfg, outdir, method):
     render_map(rdir / f"{method}_mag000.pgm", np.abs(series[:, :, 0]), f"{method} |frame 0|", h)
     t2_path = outdir / f"t2_{method}.ktar"
     if t2_path.exists():
-        t2 = _read(outdir, f"t2_{method}.ktar")
+        p, q, _ = cfg.grid.shape
+        t2 = _read(outdir, f"t2_{method}.ktar", (p, q), cfg)
         render_map(rdir / f"{method}_t2.pgm", t2, f"{method} T2 (ms)", h)
-        truth = _read(outdir, "truth_t2.ktar")[0]
-        support = _support_from_truth(outdir)
+        truth = _read(outdir, "truth_t2.ktar", (None, p, q))[0]
+        support = _support_from_truth(cfg, outdir)
         err = np.where(support, np.abs(t2 - truth), 0.0)
         render_map(rdir / f"{method}_t2err.pgm", err, f"{method} |T2 error| (ms)", h)
     return EXIT_OK

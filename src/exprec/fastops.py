@@ -16,16 +16,18 @@ building blocks:
   taps is extended to the whole (circular) grid.  Each temporal block is
   then one inverse FFT of a cross-power spectrum summed over Nt frames,
   sampled at the spatial shift differences.  This is the Gram of the
-  spatially circularized lifting that also underlies ``NormalMultipliers``,
-  and is what the IRLS solver uses;
+  spatially circularized lifting that also underlies the collapsed
+  penalty below, and is what the IRLS solver uses;
 * ``build_normal_multipliers`` / ``apply_block``: exact collapse of the
-  filter-bank penalty ``sum_i ||correlate(h_i, x)||^2`` (full circular
-  spatial lags, Nt temporal taps) into one T x T block per pixel, so in the
-  image domain ``F^H x`` one application is a batched matmul with no FFT.
-  ``apply_normal`` wraps it in the unitary DFT for k-space callers.
+  weighted penalty ``Tr(T(x)* H T(x))`` of a Hermitian weight matrix H over
+  the valid linear window (full circular spatial lags, Nt temporal taps)
+  into one T x T block per pixel, so in the image domain ``F^H x`` one
+  application is a batched matmul with no FFT.  ``apply_normal`` wraps it
+  in the unitary DFT for k-space callers.
 
 The dense references for these kernels (the lifted matrix, its adjoint and
-the filter-bank penalty ``lifted_penalty``) live in ``lifting``.
+the filter-bank penalty ``lifted_penalty``, whose bank ``A`` gives the
+weight matrix ``H = A* A``) live in ``lifting``.
 
 The exact and circulant Grams agree exactly when the spatial support
 covers the whole grid; their relative gap is the modeling error of the
@@ -43,7 +45,6 @@ from .lifting import FilterSpec
 __all__ = [
     "GramMatrix",
     "GramSizeError",
-    "NormalMultipliers",
     "hybrid_conv",
     "assemble_gram",
     "assemble_gram_circulant",
@@ -225,57 +226,43 @@ def assemble_gram_circulant(rho_hat, spec: FilterSpec) -> GramMatrix:
 # Collapsed normal operator for the least-squares step
 
 
-@dataclass(frozen=True)
-class NormalMultipliers:
-    """Collapsed penalty in the image domain z = F^H x (F the unitary DFT):
-    ``(N z)[r] = block[r] @ z[r]``, one Hermitian PSD T x T block per pixel,
-    ``block[r, a + s, b + s] = sum_{s < Nt} fields[a, b, r]``."""
+def multiplier_fields(h, spec: FilterSpec):
+    """k x k fields of the weight matrix ``h`` over the valid linear window.
 
-    block: np.ndarray = field(repr=False)  # (P, Q, T, T)
-    spec: FilterSpec
-
-
-def _filter_bank(weights):
-    filters = np.asarray(weights.filters, dtype=np.complex128)
-    if filters.ndim != 4:
-        raise ValueError(f"filter bank must be (M, k, wP, wQ), got shape {filters.shape}")
-    return filters
-
-
-def multiplier_fields(weights, spec: FilterSpec):
-    """k x k fields ``sum_i conj(Hhat_i_tau) * Hhat_i_tau'`` via Gram profiles.
-
-    ``Hhat_i_tau`` is the raw spatial DFT of filter i's slice tau padded to
-    the grid.  With H the filter-bank Gram, ``fields[tau,tau'][kappa] =
-    sum_{m,m'} H[(tau,m),(tau',m')] exp(-2 pi i kappa (m' - m))``: one
-    scatter over spatial difference profiles plus one batched FFT,
-    independent of the filter count.  Equals the literal per-filter formula.
+    ``h`` is the Hermitian (k M1 M2)^2 weight matrix, rows and columns in
+    C order over (tau, m) with m the spatial window position.  Then
+    ``fields[tau,tau'][kappa] = sum_{m,m'} h[(tau,m),(tau',m')]
+    exp(-2 pi i kappa (m' - m))``: one scatter of h, in its own order, over
+    the spatial lags m' - m plus one batched FFT.  For a filter bank A
+    (rows the filters) and ``h = A* A`` it equals the literal per-filter
+    formula ``sum_i conj(Ahat_i_tau) * Ahat_i_tau'``.
     """
-    filters = _filter_bank(weights)
-    m, k, wp, wq = filters.shape
-    if k != spec.k:
-        raise ValueError(f"filters have {k} temporal slices, spec implies {spec.k}")
-    p, q = spec.grid.p, spec.grid.q
-    if wp > p or wq > q:
-        raise ValueError(f"filter window {wp}x{wq} exceeds grid {p}x{q}")
-    fields = np.zeros((k, k, p, q), dtype=np.complex128)
-    fh = filters.reshape(m, k * wp * wq)
+    k, p, q = spec.k, spec.grid.p, spec.grid.q
+    _, wp, wq = spec.row_shape("linear")
     s = wp * wq
-    gram = (fh.conj().T @ fh).reshape(k, s, k, s).transpose(0, 2, 1, 3).ravel()
+    if np.shape(h) != (k * s, k * s):
+        raise ValueError(f"weight matrix must be {k * s} x {k * s}, got shape {np.shape(h)}")
+    h = np.asarray(h, dtype=np.complex128).reshape(-1)
     m1, m2 = np.divmod(np.arange(s), wq)
-    ex = (m1[None, :] - m1[:, None]) % p
-    ey = (m2[None, :] - m2[:, None]) % q
-    # one bin range of P*Q per temporal pair (tau, tau')
-    flat = ((np.arange(k * k) * (p * q))[:, None] + (ex * q + ey).ravel()).ravel()
+    lag = ((m1[None, :] - m1[:, None]) % p) * q + (m2[None, :] - m2[:, None]) % q
+    # h[(tau, m), (tau', m')] lands in bin range tau * k + tau' of P*Q bins each
+    pair = (np.arange(k)[:, None] * k + np.arange(k)) * (p * q)
+    flat = (pair[:, None, :, None] + lag[None, :, None, :]).ravel()
+    fields = np.zeros((k, k, p, q), dtype=np.complex128)
     emb = fields.reshape(-1)
-    emb.real = np.bincount(flat, weights=gram.real, minlength=emb.size)
-    emb.imag = np.bincount(flat, weights=gram.imag, minlength=emb.size)
+    emb.real = np.bincount(flat, weights=h.real, minlength=emb.size)
+    emb.imag = np.bincount(flat, weights=h.imag, minlength=emb.size)
     return np.fft.fft2(fields, axes=(2, 3), out=fields)
 
 
-def build_normal_multipliers(weights, spec: FilterSpec) -> NormalMultipliers:
-    """Scatter the multiplier fields into one T x T block per pixel."""
-    fields = multiplier_fields(weights, spec)
+def build_normal_multipliers(h, spec: FilterSpec):
+    """The (P, Q, T, T) penalty block of the weight matrix ``h``.
+
+    In the image domain z = F^H x (F the unitary DFT) the penalty normal
+    operator is ``(N z)[r] = block[r] @ z[r]``, one Hermitian PSD T x T
+    block per pixel, ``block[r, a + s, b + s] = sum_{s < Nt} fields[a, b, r]``.
+    """
+    fields = multiplier_fields(h, spec)
     k, t = spec.k, spec.grid.t
     block = np.zeros(spec.grid.shape + (t,), dtype=np.complex128)
     # add through the (T, T, P, Q) view of the block: each (P, Q) plane of
@@ -283,17 +270,18 @@ def build_normal_multipliers(weights, spec: FilterSpec) -> NormalMultipliers:
     planes = block.transpose(2, 3, 0, 1)
     for s in range(spec.nt):
         planes[s : s + k, s : s + k] += fields
-    return NormalMultipliers(block, spec)
+    return block
 
 
-def apply_block(mult: NormalMultipliers, z):
+def apply_block(block, z):
     """Penalty normal operator on an image-domain volume: one matmul per pixel."""
-    return np.matmul(mult.block, z[..., None])[..., 0]
+    return np.matmul(block, z[..., None])[..., 0]
 
 
-def apply_normal(mult: NormalMultipliers, x):
-    """sum_i A_i* A_i on a k-t volume: the k-space adapter F . block . F^H."""
-    x = _as_volume(x, mult.spec)
-    z = apply_block(mult, np.fft.ifft2(x, axes=(0, 1), norm="ortho"))
+def apply_normal(block, x):
+    """Penalty normal operator on a k-t volume: the k-space adapter F . block . F^H."""
+    if np.shape(x) != block.shape[:3]:
+        raise ValueError(f"volume shape {np.shape(x)} does not match block {block.shape[:3]}")
+    z = apply_block(block, np.fft.ifft2(x, axes=(0, 1), norm="ortho"))
     # numpy 2.4's ifft2 ignores out= (returns a new array, leaves out unwritten); fft2 honours it
     return np.fft.fft2(z, axes=(0, 1), norm="ortho", out=z)

@@ -126,10 +126,18 @@ def read_array(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise KtarError(f"{path}: unreadable header: {exc}") from exc
     off += hlen
+    if not isinstance(doc, dict):
+        raise KtarError(f"{path}: header is not a JSON object")
     for key in ("dtype", "shape", "order"):
         if key not in doc:
             raise KtarError(f"{path}: header missing {key!r}")
-    header = ArrayHeader(doc["dtype"], tuple(doc["shape"]), doc["order"], meta=doc.get("meta"))
+    for key in ("dtype", "order"):
+        if not isinstance(doc[key], str):
+            raise KtarError(f"{path}: header {key} must be a string, got {doc[key]!r}")
+    shape = doc["shape"]
+    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+        raise KtarError(f"{path}: header shape must be a list of non-negative ints, got {shape!r}")
+    header = ArrayHeader(doc["dtype"], tuple(shape), doc["order"], meta=doc.get("meta"))
     payload = blob[off:]
     expected = header.count * header.numpy_dtype.itemsize
     if len(payload) != expected:

@@ -13,9 +13,9 @@ sampled on the valid-shift set.  Two shift semantics are supported:
 
 Rows are ordered frame-major, C order over ``(frame, x, y)`` with output
 frames ``Nt-1 .. T-1``; columns are C order over ``(lt, lx, ly)`` with
-the support anchored at the zero corner.  ``lifted_penalty`` applies the
-weight filter bank to the hybrid lifting with full-grid spatial support,
-the dense form of the collapsed penalty operator in ``fastops``.
+the support anchored at the zero corner.  ``lifted_penalty`` applies a
+weight filter bank A to the hybrid lifting with full-grid spatial support,
+the dense form of the collapsed penalty of ``H = A* A`` in ``fastops``.
 Everything here materializes dense matrices and is intended as ground
 truth for ``fastops``, not for scale.
 """

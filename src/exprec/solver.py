@@ -1,12 +1,12 @@
 """Schatten-p IRLS solver for structured low-rank k-t recovery.
 
-Alternates a weight update (eigendecomposition of the valid-shift Gram,
-filters = rows of ``(Lambda + eps I)^(p/4 - 1/2) U*``) with a weighted
-least-squares update solved matrix-free by conjugate gradients on the
-normal equations.  With one uniform coil the data term is the k-space mask
-M, so CG runs in k-space on ``fastops.apply_normal + lam M`` (one FFT pair
-per iteration) with a Jacobi preconditioner, the exact diagonal of that
-operator.  With several coils CG runs unpreconditioned on the image-domain
+Alternates a weight update (eigendecomposition of the valid-shift Gram
+``U Lambda U*``, weight matrix ``H = U (Lambda + eps I)^(p/2 - 1) U*``) with
+a weighted least-squares update solved matrix-free by conjugate gradients
+on the normal equations.  With one uniform coil the data term is the
+k-space mask M, so CG runs in k-space on ``fastops.apply_normal + lam M``
+(one FFT pair per iteration) with a Jacobi preconditioner, the exact
+diagonal of that operator.  With several coils CG runs unpreconditioned on the image-domain
 variable ``z = F^H x``, where the penalty is the per-pixel T x T block from
 fastops and the data term ``sum_c conj(S_c) F^H M F S_c`` costs one FFT
 pair per coil at the size of the mask's k-space lattice (``simulate._lattice``).
@@ -23,7 +23,7 @@ Gram remains available through ``fastops.assemble_gram`` for diagnostics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .lifting import FilterSpec
 
 __all__ = [
     "SolverConfig",
-    "WeightSet",
     "SolveReport",
     "IterRecord",
     "SolverError",
@@ -73,60 +72,20 @@ class SolverConfig:
             raise ValueError("cg_tol must be positive")
 
 
-@dataclass(frozen=True)
-class WeightSet:
-    """Filter bank h_i (rows of H^(1/2)) over the valid linear window.
-
-    ``filters`` has shape (M, k, wP, wQ) with the spatial window anchored
-    at ``spec.spatial_offset("linear")``; ``eigenvalues`` are the clamped
-    Gram eigenvalues the bank was derived from (ascending).
-    """
-
-    filters: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
-    spec: FilterSpec
-
-    def half_matrix(self):
-        """H^(1/2) as an (M, |Gamma|) matrix (rows are the filters)."""
-        return self.filters.reshape(self.filters.shape[0], -1)
-
-    def weight_matrix(self):
-        """H = (H^(1/2))* H^(1/2)."""
-        hh = self.half_matrix()
-        return hh.conj().T @ hh
-
-    @classmethod
-    def empty(cls, spec):
-        _, wp, wq = spec.row_shape("linear")
-        return cls(
-            filters=np.zeros((0, spec.k, wp, wq), dtype=np.complex128),
-            eigenvalues=np.zeros(0),
-            spec=spec,
-        )
-
-
-def _weights_from_eig(eigvals, eigvecs, eps, p, spec):
+def _weights_from_eig(eigvals, eigvecs, eps, p):
+    """H = A A* with A = U (Lambda + eps I)^(p/4 - 1/2), Lambda clamped at 0."""
     lam_max = float(eigvals[-1]) if eigvals.size else 0.0
-    lam = eigvals.copy()
-    if lam.size and lam[0] < -EIG_CLAMP_REL * max(lam_max, 0.0):
+    if eigvals.size and eigvals[0] < -EIG_CLAMP_REL * max(lam_max, 0.0):
         raise SolverError(
-            f"Gram has negative eigenvalue {lam[0]:.3e} beyond the PSD repair "
+            f"Gram has negative eigenvalue {eigvals[0]:.3e} beyond the PSD repair "
             f"threshold ({-EIG_CLAMP_REL * lam_max:.3e}); upstream bug"
         )
-    np.clip(lam, 0.0, None, out=lam)
-    shifted = lam + eps
+    shifted = np.clip(eigvals, 0.0, None) + eps
     expo = p / 4.0 - 0.5
     if expo < 0 and np.any(shifted <= 0):
         raise SolverError("zero eigenvalue with eps = 0 makes the weight power singular")
-    coef = shifted**expo
-    half = coef[:, None] * eigvecs.conj().T
-    _, wp, wq = spec.row_shape("linear")
-    filters = half.reshape(half.shape[0], spec.k, wp, wq)
-    return WeightSet(
-        filters=filters,
-        eigenvalues=lam,
-        spec=spec,
-    )
+    a = eigvecs * shifted**expo
+    return a @ a.conj().T
 
 
 def _gram_eig(rho_hat, spec):
@@ -137,12 +96,12 @@ def _gram_eig(rho_hat, spec):
         raise SolverError(f"eigendecomposition of the Gram failed: {exc}") from exc
 
 
-def weight_update(rho_hat, spec: FilterSpec, p: float, eps: float) -> WeightSet:
-    """Eigendecompose the circulant Gram and return the filter bank H^(1/2)."""
+def weight_update(rho_hat, spec: FilterSpec, p: float, eps: float):
+    """Eigendecompose the circulant Gram and return the weight matrix H."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
     eigvals, eigvecs = _gram_eig(rho_hat, spec)
-    return _weights_from_eig(eigvals, eigvecs, eps, p, spec)
+    return _weights_from_eig(eigvals, eigvecs, eps, p)
 
 
 @dataclass
@@ -210,28 +169,32 @@ def _data_normal(z, maps, lattice):
     return simulate._image_adjoint(samples, maps, lattice)
 
 
-def _jacobi_inverse(mult, lam_mask):
-    """Inverse diagonal of ``apply_normal(mult, .) + lam_mask``; 1 where it is 0.
+def _jacobi_inverse(block, lam_mask):
+    """Inverse diagonal of ``apply_normal(block, .) + lam_mask``; 1 where it is 0.
 
     F block F^H has the pixel mean of ``block[..., t, t]`` on its diagonal at
     every k-space point of frame t.  The diagonal is 0 only on an unsampled
-    point under an empty filter bank, where the PSD operator's row is 0 too.
+    point under a zero weight matrix, where the PSD operator's row is 0 too.
     """
-    diag = mult.block.diagonal(axis1=2, axis2=3).real.mean(axis=(0, 1)) + lam_mask
+    diag = block.diagonal(axis1=2, axis2=3).real.mean(axis=(0, 1)) + lam_mask
     inv = np.ones_like(diag)
     np.divide(1.0, diag, out=inv, where=diag > 0)
     return inv
 
 
 def ls_update(
-    weights: WeightSet,
+    h,
+    spec: FilterSpec,
     meas,
     lam: float,
     warm_start=None,
     cg_iters: int = 200,
     cg_tol: float = 1e-8,
 ):
-    """Solve (sum_i A_i* A_i + lam A* A) x = lam A* b by warm-started CG.
+    """Solve (N_h + lam A* A) x = lam A* b by warm-started CG.
+
+    N_h is the penalty normal operator of the weight matrix ``h`` over the
+    valid linear window of ``spec`` (``fastops.build_normal_multipliers``).
 
     With one uniform coil A* A is the k-space mask M, so CG runs in k-space
     on ``apply_normal + lam M`` (one FFT pair per iteration), preconditioned
@@ -242,8 +205,7 @@ def ls_update(
     here).  Returns (KtVolume, CgResult) in k-space; the quadratic objective
     at the result never exceeds its value at the warm start.
     """
-    spec = weights.spec
-    mult = fastops.build_normal_multipliers(weights, spec)
+    block = fastops.build_normal_multipliers(h, spec)
     mask = meas.mask
     single = simulate._uniform_single_coil(meas.maps)
 
@@ -263,11 +225,11 @@ def ls_update(
         lam_mask = lam * mask
 
         def op(x):
-            d = fastops.apply_normal(mult, x)
+            d = fastops.apply_normal(block, x)
             d += lam_mask * x
             return d
 
-        inv_diag = _jacobi_inverse(mult, lam_mask)
+        inv_diag = _jacobi_inverse(block, lam_mask)
         result = cg_solve(op, rhs, x0=x0, tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag)
         return KtVolume(spec.grid, result.x), result
 
@@ -276,7 +238,7 @@ def ls_update(
     def op(z):
         d = _data_normal(z, meas.maps, lattice)
         d *= lam
-        d += fastops.apply_block(mult, z)
+        d += fastops.apply_block(block, z)
         return d
 
     result = cg_solve(op, rhs, x0=z0, tol=cg_tol, maxiter=cg_iters)
@@ -348,9 +310,10 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
     for n in range(1, cfg.outer_iters + 1):
         tic = time.perf_counter()
         warm_obj = _smoothed_reg(eigvals, eps, cfg.p) + 0.5 * cfg.lam * data_sq
-        weights = _weights_from_eig(eigvals, eigvecs, eps, cfg.p, spec)
+        # the weight matrix lives only for this call, not through the next eigh
         vol, cg = ls_update(
-            weights, meas, cfg.lam, warm_start=x, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol
+            _weights_from_eig(eigvals, eigvecs, eps, cfg.p), spec, meas, cfg.lam,
+            warm_start=x, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol,
         )
         x = vol.data
         eigvals, eigvecs = _gram_eig(x, spec)

@@ -91,12 +91,15 @@ def test_criterion_3_irls_correctness():
     rng = np.random.default_rng(23)
     x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
 
-    # (a) majorization identity Tr(T* H T) = sum_i ||h_i T||^2
+    # (a) majorization identity Tr(T* H T) = sum_i ||h_i T||^2, with the
+    # rows h_i of H^(1/2) formed here from the same eigenpairs as H
     r = fastops.assemble_gram(x, spec).matrix
-    w = solver._weights_from_eig(*np.linalg.eigh(r), 0.1, 0.6, spec)
+    lam_r, u_r = np.linalg.eigh(r)
+    h = solver._weights_from_eig(lam_r, u_r, 0.1, 0.6)
+    half = ((np.clip(lam_r, 0.0, None) + 0.1) ** (0.6 / 4.0 - 0.5))[:, None] * u_r.conj().T
     t_lin = build_lifted(KtVolume(g, x), spec, "linear")
-    lhs = float(np.trace(t_lin.conj().T @ w.weight_matrix() @ t_lin).real)
-    rhs = float(np.linalg.norm(w.half_matrix() @ t_lin) ** 2)
+    lhs = float(np.trace(t_lin.conj().T @ h @ t_lin).real)
+    rhs = float(np.linalg.norm(half @ t_lin) ** 2)
     rel_a = abs(lhs - rhs) / abs(rhs)
     assert rel_a <= 1e-8
 
@@ -119,14 +122,14 @@ def test_criterion_3_irls_correctness():
     coils = simulate.make_coils(g, 1, seed=78)
     mask = simulate.make_mask(g, "uniform_random", 0.5, seed=79)
     meas = simulate.simulate_measurements(kt, coils, mask)
-    w2 = solver.weight_update(kt.data, spec, p=0.6, eps=0.1)
+    h2 = solver.weight_update(kt.data, spec, p=0.6, eps=0.1)
     lam = 5.0
-    mult = fastops.build_normal_multipliers(w2, spec)
+    block = fastops.build_normal_multipliers(h2, spec)
 
     def op(v):
         vol = KtVolume(g, v)
         ata = simulate.adjoint(simulate.forward(vol, coils, mask), coils, mask, g).data
-        return fastops.apply_normal(mult, v) + lam * ata
+        return fastops.apply_normal(block, v) + lam * ata
 
     n = g.p * g.q * g.t
     dense = np.zeros((n, n), dtype=complex)
@@ -136,17 +139,17 @@ def test_criterion_3_irls_correctness():
         dense[:, j] = op(e.reshape(g.shape)).ravel()
     rhs_vec = lam * simulate.adjoint(meas.b, coils, mask, g).data
     direct = np.linalg.solve(dense, rhs_vec.ravel()).reshape(g.shape)
-    vol_cg, _ = solver.ls_update(w2, meas, lam, cg_iters=4000, cg_tol=1e-13)
+    vol_cg, _ = solver.ls_update(h2, spec, meas, lam, cg_iters=4000, cg_tol=1e-13)
     rel_c = np.linalg.norm(vol_cg.data - direct) / np.linalg.norm(direct)
     assert rel_c <= 1e-8
 
     # (d) finite-difference gradient check at 20 coordinates
-    mult_g = fastops.build_normal_multipliers(
+    block_g = fastops.build_normal_multipliers(
         solver.weight_update(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
                              spec, p=0.6, eps=0.2),
         spec,
     )
-    grad = fastops.apply_normal(mult_g, x)
+    grad = fastops.apply_normal(block_g, x)
     h = 1e-6 * np.linalg.norm(x) / np.sqrt(x.size)
     worst_d = 0.0
     for _ in range(20):
@@ -155,8 +158,8 @@ def test_criterion_3_irls_correctness():
             xp, xm = x.copy(), x.copy()
             xp[idx] += delta
             xm[idx] -= delta
-            fp = 0.5 * np.vdot(xp, fastops.apply_normal(mult_g, xp)).real
-            fm = 0.5 * np.vdot(xm, fastops.apply_normal(mult_g, xm)).real
+            fp = 0.5 * np.vdot(xp, fastops.apply_normal(block_g, xp)).real
+            fm = 0.5 * np.vdot(xm, fastops.apply_normal(block_g, xm)).real
             num = (fp - fm) / (2 * h)
             want = (grad[idx] * np.conj(delta / h)).real
             worst_d = max(worst_d, abs(num - want) / max(abs(num), 1.0))

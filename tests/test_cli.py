@@ -198,6 +198,55 @@ class TestErrors:
         assert run("fit", "--config", bad, "--out", out, "--method", "zerofill") == 65
         assert "recon_zerofill.ktar has shape (16, 16, 6)" in capsys.readouterr().err
 
+    def test_truth_and_t2_off_the_config_grid_are_data_errors(self, tmp_path, capsys):
+        other = json.loads(json.dumps(TINY))
+        other["grid"]["p"], other["filter"]["n1"] = 12, 9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(other))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(TINY))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", good, "--out", out) == 0
+        assert run("recon", "--config", good, "--out", out, "--method", "zerofill") == 0
+        assert run("fit", "--config", good, "--out", out, "--method", "zerofill") == 0
+        t2_path = out / "t2_zerofill.ktar"
+        t2_good = t2_path.read_bytes()
+        header, t2 = ktar.read_array(t2_path)
+        ktar.write_array(t2_path, t2[:12], meta=header.meta)
+        capsys.readouterr()
+        for command in ("eval", "render"):
+            assert run(command, "--config", good, "--out", out, "--method", "zerofill") == 65
+            assert "t2_zerofill.ktar has shape (12, 16)" in capsys.readouterr().err
+        t2_path.write_bytes(t2_good)
+        # a phantom of another grid overwrites the truth files of the run
+        assert run("phantom", "--config", bad, "--out", out) == 0
+        capsys.readouterr()
+        for command, name in (("fit", "truth_amp"), ("eval", "phantom"),
+                              ("render", "truth_t2")):
+            assert run(command, "--config", good, "--out", out, "--method", "zerofill") == 65
+            err = capsys.readouterr().err
+            assert f"{name}.ktar has shape (" in err and "internal error" not in err
+
+    def test_inputs_of_another_config_are_data_errors(self, tmp_path, tiny_config, capsys):
+        # same grid, another seed: the config hashes of the inputs differ
+        out = tmp_path / "o"
+        assert run("simulate", "--config", tiny_config, "--out", out) == 0
+        assert run("recon", "--config", tiny_config, "--out", out, "--method", "zerofill") == 0
+        assert run("fit", "--config", tiny_config, "--out", out, "--method", "zerofill") == 0
+        capsys.readouterr()
+        for command in ("fit", "eval", "render"):
+            assert run(command, "--config", tiny_config, "--out", out, "--seed", 12,
+                       "--method", "zerofill") == 65
+            assert "recon_zerofill.ktar was written under config hash" in capsys.readouterr().err
+        # a recon under seed 12 matches, but the T2 map of seed 11 does not
+        assert run("recon", "--config", tiny_config, "--out", out, "--seed", 12,
+                   "--method", "zerofill") == 0
+        capsys.readouterr()
+        for command in ("eval", "render"):
+            assert run(command, "--config", tiny_config, "--out", out, "--seed", 12,
+                       "--method", "zerofill") == 65
+            assert "t2_zerofill.ktar was written under config hash" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section,values", [
         ("mask", {"kind": "uniform_random", "fraction": 0.0}),
         ("mask", {"kind": "vd_cartesian", "acceleration": 2}),

@@ -1,5 +1,4 @@
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,18 +172,30 @@ class TestAssembleGram:
         assert np.isfinite(rel)
 
 
-def _one_hot_weights(spec, tau_hot, pos):
-    filters = np.zeros((1, spec.k, spec.m1, spec.m2), dtype=complex)
-    filters[0, tau_hot, pos[0], pos[1]] = 1.0
-    return SimpleNamespace(filters=filters, spatial_offset=spec.spatial_offset("linear"))
+def _random_bank(spec, m, seed):
+    """An (m, k, M1, M2) filter bank over the valid linear window."""
+    rng = np.random.default_rng(seed)
+    shape = (m, spec.k, spec.m1, spec.m2)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _weight_matrix(filters):
+    """H = A* A for the bank A whose rows are the flattened filters."""
+    a = filters.reshape(filters.shape[0], -1)
+    return a.conj().T @ a
+
+
+def _bank_penalty(vol, filters, spec):
+    return lifted_penalty(vol, filters, spec, spec.spatial_offset("linear"))
 
 
 class TestNormalMultipliers:
     def test_one_hot_filter_fields(self):
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
-        w = _one_hot_weights(spec, tau_hot=1, pos=(0, 1))
-        fields = fastops.multiplier_fields(w, spec)
+        filters = np.zeros((1, spec.k, spec.m1, spec.m2), dtype=complex)
+        filters[0, 1, 0, 1] = 1.0
+        fields = fastops.multiplier_fields(_weight_matrix(filters), spec)
         assert np.allclose(fields[1, 1], 1.0, atol=1e-12)
         for a in range(spec.k):
             for b in range(spec.k):
@@ -197,34 +208,26 @@ class TestNormalMultipliers:
         g = Grid(8, 7, 4)
         spec = FilterSpec(4, 3, 1, g)
         rng = np.random.default_rng(12)
-        shape = (9, spec.k, spec.m1, spec.m2)
-        w = SimpleNamespace(
-            filters=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            spatial_offset=spec.spatial_offset("linear"),
-        )
-        mult = fastops.build_normal_multipliers(w, spec)
-        fields = fastops.multiplier_fields(w, spec)
-        assert np.array_equal(mult.block, fields.transpose(2, 3, 0, 1))
+        filters = _random_bank(spec, 9, 12)
+        h = _weight_matrix(filters)
+        block = fastops.build_normal_multipliers(h, spec)
+        fields = fastops.multiplier_fields(h, spec)
+        assert np.array_equal(block, fields.transpose(2, 3, 0, 1))
         for t in range(g.t):
             x = np.zeros(g.shape, dtype=complex)
             x[:, :, t] = rng.standard_normal(g.shape[:2]) + 1j * rng.standard_normal(g.shape[:2])
-            want = lifted_penalty(KtVolume(g, x), w.filters, spec, w.spatial_offset)[0].data
-            got = fastops.apply_normal(mult, x)
+            want = _bank_penalty(KtVolume(g, x), filters, spec)[0].data
+            got = fastops.apply_normal(block, x)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_collapsed_matches_direct(self):
         g = Grid(8, 8, 4)
         spec = FilterSpec(3, 3, 2, g)
-        rng = np.random.default_rng(13)
-        shape = (6, spec.k, spec.m1, spec.m2)
-        w = SimpleNamespace(
-            filters=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            spatial_offset=spec.spatial_offset("linear"),
-        )
-        mult = fastops.build_normal_multipliers(w, spec)
+        filters = _random_bank(spec, 6, 13)
+        block = fastops.build_normal_multipliers(_weight_matrix(filters), spec)
         vol = random_volume(g, 14)
-        got = fastops.apply_normal(mult, vol.data)
-        want, value = lifted_penalty(vol, w.filters, spec, w.spatial_offset)
+        got = fastops.apply_normal(block, vol.data)
+        want, value = _bank_penalty(vol, filters, spec)
         assert np.abs(got - want.data).max() <= 1e-10 * np.abs(want.data).max()
         penalty = 0.5 * np.vdot(vol.data, got).real
         assert abs(penalty - value) <= 1e-10 * abs(value)
@@ -234,48 +237,47 @@ class TestNormalMultipliers:
         # Nt = 1, 2 and T cover k = T, a small k and k = 1
         g = Grid(7, 6, 5)
         spec = FilterSpec(3, 2, nt, g)
-        rng = np.random.default_rng(30 + nt)
-        shape = (4, spec.k, spec.m1, spec.m2)
-        w = SimpleNamespace(
-            filters=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            spatial_offset=spec.spatial_offset("linear"),
-        )
-        mult = fastops.build_normal_multipliers(w, spec)
-        assert mult.block.shape == (g.p, g.q, g.t, g.t)
-        assert np.abs(mult.block - np.conj(np.swapaxes(mult.block, 2, 3))).max() \
-            <= 1e-12 * np.abs(mult.block).max()
+        filters = _random_bank(spec, 4, 30 + nt)
+        block = fastops.build_normal_multipliers(_weight_matrix(filters), spec)
+        assert block.shape == (g.p, g.q, g.t, g.t)
+        assert np.abs(block - np.conj(np.swapaxes(block, 2, 3))).max() \
+            <= 1e-12 * np.abs(block).max()
         vol = random_volume(g, 31)
         z = np.fft.ifft2(vol.data, axes=(0, 1), norm="ortho")
-        got = np.fft.fft2(fastops.apply_block(mult, z), axes=(0, 1), norm="ortho")
-        want = lifted_penalty(vol, w.filters, spec, w.spatial_offset)[0].data
+        got = np.fft.fft2(fastops.apply_block(block, z), axes=(0, 1), norm="ortho")
+        want = _bank_penalty(vol, filters, spec)[0].data
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_adjoint_property(self):
         g = Grid(7, 6, 4)
         spec = FilterSpec(3, 2, 2, g)
-        rng = np.random.default_rng(15)
-        shape = (5, spec.k, spec.m1, spec.m2)
-        w = SimpleNamespace(
-            filters=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            spatial_offset=spec.spatial_offset("linear"),
-        )
-        mult = fastops.build_normal_multipliers(w, spec)
+        block = fastops.build_normal_multipliers(_weight_matrix(_random_bank(spec, 5, 15)), spec)
         x = random_volume(g, 16).data
         y = random_volume(g, 17).data
-        lhs = np.vdot(y, fastops.apply_normal(mult, x))
-        rhs = np.vdot(fastops.apply_normal(mult, y), x)
+        lhs = np.vdot(y, fastops.apply_normal(block, x))
+        rhs = np.vdot(fastops.apply_normal(block, y), x)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_empty_weights(self):
         g = Grid(6, 6, 3)
         spec = FilterSpec(2, 2, 2, g)
-        w = SimpleNamespace(
-            filters=np.zeros((0, spec.k, spec.m1, spec.m2), dtype=complex),
-            spatial_offset=spec.spatial_offset("linear"),
-        )
-        mult = fastops.build_normal_multipliers(w, spec)
+        n = spec.n_rows("linear")
+        block = fastops.build_normal_multipliers(np.zeros((n, n), dtype=complex), spec)
         x = random_volume(g, 18).data
-        assert np.abs(fastops.apply_normal(mult, x)).max() == 0.0
+        assert np.abs(fastops.apply_normal(block, x)).max() == 0.0
+
+    @pytest.mark.parametrize("shape", ["square_short", "not_square", "flat"])
+    def test_weight_matrix_shape_checked(self, shape):
+        g = Grid(6, 6, 3)
+        spec = FilterSpec(2, 2, 2, g)
+        n = spec.n_rows("linear")  # k * M1 * M2 = 2 * 5 * 5
+        h = {
+            "square_short": np.eye(n - 1),
+            "not_square": np.zeros((n, n + 1)),
+            "flat": np.zeros(n * n),
+        }[shape]
+        with pytest.raises(ValueError, match=f"weight matrix must be {n} x {n}"):
+            fastops.build_normal_multipliers(h, spec)
 
 
 @pytest.mark.slow

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,3 +102,27 @@ class TestErrors:
     def test_element_guard(self):
         with pytest.raises(ktar.KtarError, match="exceeds"):
             ktar.ArrayHeader("f32", (2**21, 2**20))
+
+
+def _write_raw(path, doc, payload=b""):
+    text = json.dumps(doc).encode("utf-8")
+    path.write_bytes(ktar.MAGIC + len(text).to_bytes(4, "little") + text + payload)
+
+
+@pytest.mark.parametrize("changes", [
+    {"shape": 5},
+    {"shape": ["a"]},
+    {"shape": [2.7]},
+    {"shape": [True]},
+    {"shape": [-1]},
+    {"dtype": ["f64"]},
+    {"order": 1},
+], ids=["shape_int", "shape_str", "shape_float", "shape_bool", "shape_negative",
+        "dtype_list", "order_int"])
+def test_malformed_header_is_ktar_error(tmp_path, changes):
+    # every malformed field is a format error, never a TypeError or a silent cast
+    path = tmp_path / "bad.ktar"
+    doc = {"dtype": "f64", "shape": [2], "order": "row-major", **changes}
+    _write_raw(path, doc, np.zeros(2, dtype="<f8").tobytes())
+    with pytest.raises(ktar.KtarError, match=r"header (shape|dtype|order) must be"):
+        ktar.read_array(path)

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -37,3 +38,19 @@ def test_cli_help_loads_no_numpy():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark's layer tracer finds its spans by module and attribute
+    # name, so a rename under src/ would leave a span silently absent
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace_boot.py"
+    spec = importlib.util.spec_from_file_location("trace_boot", path)
+    trace_boot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_boot)
+    unresolved = [
+        f"{name}={module}:{dotted}"
+        for name, targets in trace_boot.TARGETS.items()
+        for module, dotted in targets
+        if trace_boot._resolve(module, dotted) is None
+    ]
+    assert unresolved == []

@@ -7,7 +7,6 @@ from exprec import fastops, simulate, solver
 from exprec.solver import (
     SolverConfig,
     SolverError,
-    WeightSet,
     cg_solve,
     irls_solve,
     ls_update,
@@ -61,32 +60,28 @@ class TestSchattenCost:
 class TestWeightMath:
     def test_four_times_identity(self):
         # R = 4I, eps = 0, p = 1: H = 0.5 I and H^(1/2) = I / sqrt(2)
-        g = Grid(2, 1, 2)
-        spec = FilterSpec(2, 1, 1, g)  # |Gamma| = 2 rows in valid_linear? keep shapes simple
         eigvals = np.array([4.0, 4.0])
         eigvecs = np.eye(2, dtype=complex)
-        w = solver._weights_from_eig(eigvals, eigvecs, 0.0, 1.0, spec)
-        h = w.weight_matrix()
+        h = solver._weights_from_eig(eigvals, eigvecs, 0.0, 1.0)
         assert np.allclose(h, 0.5 * np.eye(2), atol=1e-14)
-        assert np.allclose(np.abs(w.half_matrix()), np.eye(2) / np.sqrt(2.0), atol=1e-14)
+        half = eigvecs * eigvals ** (1.0 / 4.0 - 0.5)
+        assert np.allclose(np.abs(half), np.eye(2) / np.sqrt(2.0), atol=1e-14)
+        assert np.allclose(half @ half.conj().T, h, atol=1e-14)
 
     @pytest.mark.parametrize("p", [0.4, 1.0, 1.6])
     def test_identity_gram_fixed_point(self, p):
-        g = Grid(2, 1, 2)
-        spec = FilterSpec(2, 1, 1, g)
-        w = solver._weights_from_eig(np.ones(2), np.eye(2, dtype=complex), 0.0, p, spec)
-        assert np.allclose(w.weight_matrix(), np.eye(2), atol=1e-14)
+        h = solver._weights_from_eig(np.ones(2), np.eye(2, dtype=complex), 0.0, p)
+        assert np.allclose(h, np.eye(2), atol=1e-14)
 
     def test_reconstruction_matches_dense_power(self):
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 5)
         p, eps = 0.6, 0.1
-        w = weight_update(x, spec, p=p, eps=eps)
+        got = weight_update(x, spec, p=p, eps=eps)
         r = fastops.assemble_gram_circulant(x, spec).matrix
         lam, u = np.linalg.eigh(r)
         want = (u * (np.clip(lam, 0, None) + eps) ** (p / 2.0 - 1.0)) @ u.conj().T
-        got = w.weight_matrix()
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_negative_eps_rejected(self):
@@ -101,10 +96,11 @@ class TestWeightMath:
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 7)
         p, eps = 0.6, 0.05
-        w = weight_update(x, spec, p=p, eps=eps)
-        mult = fastops.build_normal_multipliers(w, spec)
-        lhs = np.vdot(x, fastops.apply_normal(mult, x)).real
-        lam = w.eigenvalues
+        h = weight_update(x, spec, p=p, eps=eps)
+        block = fastops.build_normal_multipliers(h, spec)
+        lhs = np.vdot(x, fastops.apply_normal(block, x)).real
+        r = fastops.assemble_gram_circulant(x, spec).matrix
+        lam = np.clip(np.linalg.eigvalsh(r), 0.0, None)
         rhs = float(np.sum(lam * (lam + eps) ** (p / 2.0 - 1.0)))
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
@@ -114,11 +110,12 @@ class TestWeightMath:
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 8)
         r = fastops.assemble_gram(x, spec).matrix
-        w = solver._weights_from_eig(*np.linalg.eigh(r), 0.1, 0.6, spec)
+        lam, u = np.linalg.eigh(r)
+        h = solver._weights_from_eig(lam, u, 0.1, 0.6)
         t = build_lifted(KtVolume(g, x), spec, "linear")
-        h = w.weight_matrix()
         lhs = float(np.trace(t.conj().T @ h @ t).real)
-        half = w.half_matrix()
+        # H^(1/2) from the same eigenpairs: rows h_i = (lam_i + eps)^(p/4 - 1/2) u_i*
+        half = ((np.clip(lam, 0.0, None) + 0.1) ** (0.6 / 4.0 - 0.5))[:, None] * u.conj().T
         rhs = float(np.linalg.norm(half @ t) ** 2)
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
@@ -195,15 +192,15 @@ class TestLsUpdate:
     def test_empty_weights_identity_operator(self):
         g = Grid(8, 8, 3)
         kt, meas, spec = make_problem(g, fraction=1.0, c=1)
-        w = WeightSet.empty(spec)
-        vol, _ = ls_update(w, meas, lam=3.0, cg_iters=50, cg_tol=1e-12)
+        h = np.zeros((spec.n_rows("linear"),) * 2, dtype=complex)
+        vol, _ = ls_update(h, spec, meas, lam=3.0, cg_iters=50, cg_tol=1e-12)
         assert np.abs(vol.data - meas.b[0]).max() <= 1e-10 * np.abs(meas.b).max()
 
     def test_empty_weights_mask_operator(self):
         g = Grid(8, 8, 3)
         kt, meas, spec = make_problem(g, fraction=0.5, c=1)
-        w = WeightSet.empty(spec)
-        vol, _ = ls_update(w, meas, lam=2.0, cg_iters=50, cg_tol=1e-12)
+        h = np.zeros((spec.n_rows("linear"),) * 2, dtype=complex)
+        vol, _ = ls_update(h, spec, meas, lam=2.0, cg_iters=50, cg_tol=1e-12)
         m = meas.mask
         scale = np.abs(meas.b).max()
         assert np.abs(vol.data[m] - meas.b[0][m]).max() <= 1e-10 * scale
@@ -228,13 +225,13 @@ class TestLsUpdate:
 
         for c, seed, accel in ((1, 4, None), (3, 7, None), (3, 7, 6.0)):
             kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=seed, acceleration=accel)
-            w = weight_update(kt.data, spec, p=0.6, eps=0.1)
+            h = weight_update(kt.data, spec, p=0.6, eps=0.1)
             lam = 7.0
-            mult = fastops.build_normal_multipliers(w, spec)
+            block = fastops.build_normal_multipliers(h, spec)
 
             def op(x):
                 ata = literal_normal(x, meas.maps, meas.mask)
-                return fastops.apply_normal(mult, x) + lam * ata
+                return fastops.apply_normal(block, x) + lam * ata
 
             n = g.p * g.q * g.t
             dense = np.zeros((n, n), dtype=complex)
@@ -244,7 +241,7 @@ class TestLsUpdate:
                 dense[:, j] = op(e.reshape(g.shape)).ravel()
             rhs = lam * literal_adjoint(meas.b, meas.maps, meas.mask)
             want = np.linalg.solve(dense, rhs.ravel()).reshape(g.shape)
-            vol, cg = ls_update(w, meas, lam, cg_iters=3000, cg_tol=1e-13)
+            vol, cg = ls_update(h, spec, meas, lam, cg_iters=3000, cg_tol=1e-13)
             assert cg.stop == "tol"
             assert np.linalg.norm(vol.data - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -252,35 +249,35 @@ class TestLsUpdate:
         g = Grid(8, 8, 4)
         for c in (1, 3):
             kt, meas, spec = make_problem(g, fraction=0.4, c=c, seed=5)
-            w = weight_update(random_volume(g, 11), spec, p=0.6, eps=0.3)
+            h = weight_update(random_volume(g, 11), spec, p=0.6, eps=0.3)
             lam = 2.0
-            mult = fastops.build_normal_multipliers(w, spec)
+            block = fastops.build_normal_multipliers(h, spec)
 
             def objective(x):
                 vol = KtVolume(g, x)
                 resid = simulate.forward(vol, meas.maps, meas.mask) - meas.b
-                penalty = 0.5 * np.vdot(x, fastops.apply_normal(mult, x)).real
+                penalty = 0.5 * np.vdot(x, fastops.apply_normal(block, x)).real
                 return penalty + 0.5 * lam * float(np.vdot(resid, resid).real)
 
             warm = random_volume(g, 12)
-            vol, _ = ls_update(w, meas, lam, warm_start=warm, cg_iters=40, cg_tol=1e-10)
+            vol, _ = ls_update(h, spec, meas, lam, warm_start=warm, cg_iters=40, cg_tol=1e-10)
             assert objective(vol.data) <= objective(warm) * (1 + 1e-10) + 1e-10
 
     def test_single_coil_preconditioner_cuts_iterations(self):
         # the k-space Jacobi preconditioner against plain CG on the same operator
         g = Grid(8, 8, 4)
         kt, meas, spec = make_problem(g, fraction=0.3, c=1, seed=0)
-        w = weight_update(kt.data, spec, p=0.6, eps=0.1)
+        h = weight_update(kt.data, spec, p=0.6, eps=0.1)
         lam = 7.0
-        mult = fastops.build_normal_multipliers(w, spec)
+        block = fastops.build_normal_multipliers(h, spec)
         mask = meas.mask
         plain = cg_solve(
-            lambda x: fastops.apply_normal(mult, x) + lam * mask * x,
+            lambda x: fastops.apply_normal(block, x) + lam * mask * x,
             lam * mask * meas.b[0],
             tol=1e-10,
             maxiter=3000,
         )
-        vol, cg = ls_update(w, meas, lam, cg_iters=3000, cg_tol=1e-10)
+        vol, cg = ls_update(h, spec, meas, lam, cg_iters=3000, cg_tol=1e-10)
         assert plain.stop == "tol" and cg.stop == "tol"
         assert cg.rel_residual <= 1e-10
         assert cg.iters < plain.iters
@@ -291,16 +288,16 @@ class TestLsUpdate:
         g = Grid(8, 8, 4)
         for c in (1, 3):
             kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=6)
-            w = weight_update(kt.data, spec, p=0.6, eps=0.1)
+            h = weight_update(kt.data, spec, p=0.6, eps=0.1)
             warm = kt.data.copy()
             warm[1, 2, 3] = np.nan
             with pytest.raises(ValueError, match="warm_start"):
-                ls_update(w, meas, 2.0, warm_start=warm, cg_iters=5)
+                ls_update(h, spec, meas, 2.0, warm_start=warm, cg_iters=5)
             b = meas.b.copy()
             b[c - 1][meas.mask] = np.nan
             bad = simulate.Measurements(b=b, mask=meas.mask, maps=meas.maps)
             with pytest.raises(ValueError, match="meas.b"):
-                ls_update(w, bad, 2.0, warm_start=kt.data, cg_iters=5)
+                ls_update(h, spec, bad, 2.0, warm_start=kt.data, cg_iters=5)
 
 
 class TestGradient:
@@ -308,13 +305,14 @@ class TestGradient:
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 13)
-        w = weight_update(random_volume(g, 14), spec, p=0.6, eps=0.2)
-        mult = fastops.build_normal_multipliers(w, spec)
+        block = fastops.build_normal_multipliers(
+            weight_update(random_volume(g, 14), spec, p=0.6, eps=0.2), spec
+        )
 
         def f(v):
-            return 0.5 * np.vdot(v, fastops.apply_normal(mult, v)).real
+            return 0.5 * np.vdot(v, fastops.apply_normal(block, v)).real
 
-        grad = fastops.apply_normal(mult, x)  # Wirtinger gradient: df = Re<grad, dx>
+        grad = fastops.apply_normal(block, x)  # Wirtinger gradient: df = Re<grad, dx>
         rng = np.random.default_rng(15)
         h = 1e-6 * np.linalg.norm(x) / np.sqrt(x.size)
         for _ in range(20):
@@ -376,8 +374,8 @@ class TestIrls:
         lam_max = np.linalg.eigvalsh(
             fastops.assemble_gram_circulant(kt.data, spec).matrix
         )[-1]
-        w = weight_update(kt.data, spec, p=0.6, eps=1e-9 * lam_max)
-        vol, _ = ls_update(w, meas, lam=1e6, cg_iters=3000, cg_tol=1e-13)
+        h = weight_update(kt.data, spec, p=0.6, eps=1e-9 * lam_max)
+        vol, _ = ls_update(h, spec, meas, lam=1e6, cg_iters=3000, cg_tol=1e-13)
         err = np.linalg.norm(vol.data - kt.data) / np.linalg.norm(kt.data)
         assert err <= 1e-3
 
