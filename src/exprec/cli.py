@@ -75,9 +75,9 @@ def _write(outdir, name, data, cfg):
     ktar.write_array(outdir / name, data, meta={"config_hash": cfg.config_hash})
 
 
-def _read(outdir, name, shape, cfg=None):
+def _read(outdir, name, shape, cfg):
     """One pipeline array, which must fit ``shape`` (None on an axis of any
-    length); given ``cfg``, it must also be stamped with ``cfg.config_hash``."""
+    length) and be stamped with ``cfg.config_hash``."""
     from . import ktar
 
     path = outdir / name
@@ -86,13 +86,12 @@ def _read(outdir, name, shape, cfg=None):
     header, data = ktar.read_array(path)
     if data.ndim != len(shape) or any(w not in (None, n) for w, n in zip(shape, data.shape)):
         raise DataError(f"{path} has shape {data.shape}; the config's grid needs {shape}")
-    if cfg is not None:
-        stamp = header.meta.get("config_hash") if isinstance(header.meta, dict) else None
-        if stamp != cfg.config_hash:
-            raise DataError(
-                f"{path} was written under config hash {stamp}, "
-                f"but this run's config hash is {cfg.config_hash}"
-            )
+    stamp = header.meta.get("config_hash") if isinstance(header.meta, dict) else None
+    if stamp != cfg.config_hash:
+        raise DataError(
+            f"{path} was written under config hash {stamp}, "
+            f"but this run's config hash is {cfg.config_hash}"
+        )
     return data
 
 
@@ -154,9 +153,9 @@ def _load_measurements(cfg, outdir):
     from .simulate import Measurements
 
     p, q, t = cfg.grid.shape
-    b = _read(outdir, "meas.ktar", (None, p, q, t))
-    maps = _read(outdir, "coils.ktar", (len(b), p, q)).astype(np.complex128)
-    mask = _read(outdir, "mask.ktar", (p, q, t)) > 0.5
+    b = _read(outdir, "meas.ktar", (None, p, q, t), cfg)
+    maps = _read(outdir, "coils.ktar", (len(b), p, q), cfg).astype(np.complex128)
+    mask = _read(outdir, "mask.ktar", (p, q, t), cfg) > 0.5
     return Measurements(b=b.astype(np.complex128), mask=mask, maps=maps)
 
 
@@ -207,7 +206,7 @@ def _warn_cg_stops(records):
 def _support_from_truth(cfg, outdir):
     import numpy as np
 
-    amp = _read(outdir, "truth_amp.ktar", (None, cfg.grid.p, cfg.grid.q))
+    amp = _read(outdir, "truth_amp.ktar", (None, cfg.grid.p, cfg.grid.q), cfg)
     return np.abs(amp[0]) > 0
 
 
@@ -230,14 +229,14 @@ def cmd_eval(cfg, outdir, method):
 
     t0 = time.perf_counter()
     p, q, _ = cfg.grid.shape
-    truth_series = _read(outdir, "phantom.ktar", cfg.grid.shape)
     recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
+    truth_series = _read(outdir, "phantom.ktar", cfg.grid.shape, cfg)
     # compare in k-t space; the per-frame DFT is unitary so SNR and NRMSE
     # match the image-domain values, and the noiseless identity pipeline
     # stays exact to the bit
     truth_kt = dft2_forward(ImageSeries(cfg.grid, truth_series)).data
     t2_fit = _read(outdir, f"t2_{method}.ktar", (p, q), cfg)
-    t2_true = _read(outdir, "truth_t2.ktar", (None, p, q))[0]
+    t2_true = _read(outdir, "truth_t2.ktar", (None, p, q), cfg)[0]
     support = _support_from_truth(cfg, outdir)
     snr = snr_db(truth_kt, recon)
     err = nrmse(truth_kt, recon)
@@ -269,7 +268,7 @@ def cmd_render(cfg, outdir, method):
         p, q, _ = cfg.grid.shape
         t2 = _read(outdir, f"t2_{method}.ktar", (p, q), cfg)
         render_map(rdir / f"{method}_t2.pgm", t2, f"{method} T2 (ms)", h)
-        truth = _read(outdir, "truth_t2.ktar", (None, p, q))[0]
+        truth = _read(outdir, "truth_t2.ktar", (None, p, q), cfg)[0]
         support = _support_from_truth(cfg, outdir)
         err = np.where(support, np.abs(t2 - truth), 0.0)
         render_map(rdir / f"{method}_t2err.pgm", err, f"{method} |T2 error| (ms)", h)

@@ -165,17 +165,14 @@ class ExperimentConfig:
         if errors:
             msgs = [f"{_json_pointer(e)}: {e.message}" for e in errors]
             raise ConfigError("invalid config: " + "; ".join(msgs))
-        merged = copy.deepcopy(doc)
         for section, defaults in _DEFAULTS.items():
-            block = dict(defaults)
-            block.update(merged.get(section, {}))
-            merged[section] = block
-        mask = merged["mask"]
+            doc[section] = {**defaults, **doc.get(section, {})}
+        mask = doc["mask"]
         if mask["kind"] == "uniform_random" and "fraction" not in mask:
             raise ConfigError("/mask: uniform_random requires 'fraction'")
         if mask["kind"] == "vd_cartesian" and "acceleration" not in mask:
             raise ConfigError("/mask: vd_cartesian requires 'acceleration'")
-        return cls(doc=merged)
+        return cls(doc=doc)
 
     @classmethod
     def from_json(cls, path, seed=None):

@@ -263,20 +263,17 @@ def make_mask(
     """
     p, q, t = grid.shape
     rng = _rng(seed)
-    frames = []
     if kind == "uniform_random":
         if not 0 < param <= 1:
             raise ValueError(f"sampling fraction must be in (0, 1], got {param}")
         n = _round_half_up(param * p * q)
         if n < 1:
             raise ValueError(f"fraction {param} yields zero samples per frame")
-        for _ in range(t):
-            frames.append(_uniform_frame(rng, p, q, n))
+        frames = [_uniform_frame(rng, p, q, n) for _ in range(t)]
     elif kind == "vd_cartesian":
         if param < 4:
             raise ValueError("vd_cartesian needs acceleration >= 4 (2x2 lattice alone is 4)")
-        for _ in range(t):
-            frames.append(_vd_lattice_frame(rng, p, q, param, center_block))
+        frames = [_vd_lattice_frame(rng, p, q, param, center_block) for _ in range(t)]
     else:
         raise ValueError(f"unknown mask kind {kind!r}")
     if static:
@@ -301,56 +298,57 @@ def _uniform_single_coil(maps):
     return maps.shape[0] == 1 and np.all(maps == 1.0)
 
 
-def _lattice(mask):
-    """((dx, dy), mask[::dx, ::dy] / sqrt(dx dy)) for dx the gcd of P and every
-    sampled kx (dy likewise): a P-point DFT at multiples of dx is the (P/dx)-
-    point DFT of the signal folded dx times, over sqrt(dx) in ortho norm."""
+def _lattice(mask, maps):
+    """((dx, dy), mask[::dx, ::dy] / sqrt(dx dy), coils) for dx the gcd of P and
+    every sampled kx (dy likewise): a P-point DFT at multiples of dx is the
+    (P/dx)-point DFT of the signal folded dx times, over sqrt(dx) in ortho norm.
+    ``coils`` is one C x (dx dy) alias matrix per lattice pixel, (P/dx, Q/dy, C, dx dy)."""
     p, q, _ = mask.shape  # reductions over the leading axes: any(axis=2) is slow
     sampled = (mask.reshape(p, -1).any(axis=1), mask.any(axis=0).any(axis=1))  # kx, ky
     dx, dy = (int(np.gcd.reduce(np.flatnonzero(k), initial=n)) for k, n in zip(sampled, (p, q)))
-    return (dx, dy), mask[::dx, ::dy] / np.sqrt(dx * dy)
+    lp, lq = p // dx, q // dy
+    coils = maps.reshape(-1, dx, lp, dy, lq).transpose(2, 4, 0, 1, 3).reshape(lp, lq, -1, dx * dy)
+    return (dx, dy), mask[::dx, ::dy] / np.sqrt(dx * dy), coils
 
 
-def _coil_forward(img, s, lattice):
-    """M F (s * img) on the lattice: fft2 of the folded coil image, weighted."""
-    (dx, dy), weight = lattice
-    lp, lq = weight.shape[:2]
-    img, s = img.reshape(dx, lp, dy, lq, -1), s.reshape(dx, lp, dy, lq, 1)
-    folded = s[0, :, 0] * img[0, :, 0]
-    for i, j in list(np.ndindex(dx, dy))[1:]:
-        folded += s[i, :, j] * img[i, :, j]
-    return np.fft.fft2(folded, axes=(0, 1), norm="ortho") * weight
+def _coil_forward(img, lattice):
+    """Every coil's M F (S_c img) as (P/dx, Q/dy, C, T) lattice samples: one matmul
+    per lattice pixel folds and coil-weights its aliases, one fft2 takes all coils."""
+    (dx, dy), weight, coils = lattice
+    lp, lq, _, k = coils.shape
+    img = img.reshape(dx, lp, dy, lq, -1).transpose(1, 3, 0, 2, 4).reshape(lp, lq, k, -1)
+    samples = coils @ img  # img names the tiled copy: a temporary argument can go first
+    np.fft.fft2(samples, axes=(0, 1), norm="ortho", out=samples)
+    samples *= weight[:, :, None, :]
+    return samples
 
 
-def _image_adjoint(samples, maps, lattice):
-    """sum_c conj(S_c) F^H M d_c over per-coil lattice samples d_c, the adjoint
-    of ``_coil_forward``: ifft2s at the lattice size tiled back to (P, Q)."""
-    (dx, dy), weight = lattice
-    lp, lq, t = weight.shape
-    tiles = np.zeros((dx, lp, dy, lq, t), dtype=np.complex128)
-    for d, s in zip(samples, maps):
-        img = np.fft.ifft2(d * weight, axes=(0, 1), norm="ortho")
-        s_conj = np.conj(s).reshape(dx, lp, dy, lq, 1)
-        for i, j in np.ndindex(dx, dy):
-            tiles[i, :, j] += s_conj[i, :, j] * img
-    return tiles.reshape(dx * lp, dy * lq, t)
+def _image_adjoint(samples, lattice):
+    """sum_c conj(S_c) F^H M d_c as a (P, Q, T) image, the adjoint of ``_coil_forward``.
+    Overwrites ``samples``; one matmul per lattice pixel unfolds all coils' aliases."""
+    (dx, dy), weight, coils = lattice
+    lp, lq, _, t = samples.shape
+    samples *= weight[:, :, None, :]
+    np.fft.ifftn(samples, axes=(0, 1), norm="ortho", out=samples)  # ifft2 ignores out=
+    aliases = np.conj(coils).swapaxes(2, 3) @ samples
+    del samples  # Python 3.11+ frees a temporary argument here, before the tiled copy
+    return aliases.reshape(lp, lq, dx, dy, t).transpose(2, 0, 3, 1, 4).reshape(dx * lp, dy * lq, t)
 
 
 def forward(rho_hat: KtVolume, maps, mask):
     """Forward operator: b_ct = mask_t * DFT2(S_c * IDFT2(rho_hat_t)).
 
     With a single uniform coil this reduces to masking, taken literally so
-    the fully sampled single-coil path is exact to the bit.  Otherwise each
-    coil's FFTs run at the size of the mask's k-space lattice (``_lattice``).
+    the fully sampled single-coil path is exact to the bit.  Otherwise one fft2
+    covers all coils at the size of the mask's k-space lattice (``_lattice``).
     """
     if _uniform_single_coil(maps):
         return (rho_hat.data * mask)[None, :, :, :]
-    lattice = _lattice(mask)
-    (dx, dy), _ = lattice
-    img = np.fft.ifft2(rho_hat.data, axes=(0, 1), norm="ortho")
+    lattice = _lattice(mask, maps)
+    (dx, dy), _, _ = lattice
+    samples = _coil_forward(np.fft.ifft2(rho_hat.data, axes=(0, 1), norm="ortho"), lattice)
     b = np.zeros((len(maps),) + mask.shape, dtype=np.complex128)
-    for bc, s in zip(b, maps):
-        bc[::dx, ::dy] = _coil_forward(img, s, lattice)
+    b[:, ::dx, ::dy] = np.moveaxis(samples, 2, 0)
     return b
 
 
@@ -359,10 +357,10 @@ def adjoint(b, maps, mask, grid: Grid) -> KtVolume:
     b = np.asarray(b, dtype=np.complex128)
     if _uniform_single_coil(maps):
         return KtVolume(grid, b[0] * mask)
-    lattice = _lattice(mask)
-    (dx, dy), _ = lattice
-    combined = _image_adjoint(b[:, ::dx, ::dy], maps, lattice)
-    return KtVolume(grid, np.fft.fft2(combined, axes=(0, 1), norm="ortho"))
+    lattice = _lattice(mask, maps)
+    (dx, dy), _, _ = lattice
+    combined = _image_adjoint(np.moveaxis(b[:, ::dx, ::dy], 0, 2).copy(), lattice)
+    return KtVolume(grid, np.fft.fft2(combined, axes=(0, 1), norm="ortho", out=combined))
 
 
 def add_noise(b, mask, sigma: float, seed: int = 0):

@@ -6,10 +6,10 @@ a weighted least-squares update solved matrix-free by conjugate gradients
 on the normal equations.  With one uniform coil the data term is the
 k-space mask M, so CG runs in k-space on ``fastops.apply_normal + lam M``
 (one FFT pair per iteration) with a Jacobi preconditioner, the exact
-diagonal of that operator.  With several coils CG runs unpreconditioned on the image-domain
-variable ``z = F^H x``, where the penalty is the per-pixel T x T block from
-fastops and the data term ``sum_c conj(S_c) F^H M F S_c`` costs one FFT
-pair per coil at the size of the mask's k-space lattice (``simulate._lattice``).
+diagonal of that operator.  With several coils CG runs unpreconditioned on
+the image-domain variable ``z = F^H x``: the penalty is the per-pixel T x T
+block from fastops, the data term ``sum_c conj(S_c) F^H M F S_c`` one FFT pair
+over all coils at the mask's k-space lattice size (``simulate._lattice``).
 
 The weights live on one valid-shift set, the valid linear window.  The
 weight Gram, the smoothed objective and the quadratic penalty all refer
@@ -147,11 +147,14 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult
             break
         alpha = rz / denom
         x += alpha * pdir
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
+        del ap  # freed before the next op(pdir) allocates its result
         rs_new = float(np.vdot(r, r).real)
         res = rs_new**0.5
         z, rz_new = precondition(r, rs_new)
-        pdir = z + (rz_new / rz) * pdir
+        pdir *= rz_new / rz
+        pdir += z
         rz = rz_new
         it += 1
     stop = stop or ("tol" if res / rhs_norm <= tol else "maxiter")
@@ -163,10 +166,10 @@ def _data_residual_sq(x, meas, grid):
     return float(np.vdot(resid, resid).real)
 
 
-def _data_normal(z, maps, lattice):
-    """sum_c conj(S_c) F^H M F (S_c z) on an image-domain volume, FFTs at lattice size."""
-    samples = (simulate._coil_forward(z, s, lattice) for s in maps)
-    return simulate._image_adjoint(samples, maps, lattice)
+def _data_normal(z, lattice):
+    """sum_c conj(S_c) F^H M F (S_c z) on an image-domain volume; the coils'
+    lattice samples take the mask weight twice in place, no copy beside them."""
+    return simulate._image_adjoint(simulate._coil_forward(z, lattice), lattice)
 
 
 def _jacobi_inverse(block, lam_mask):
@@ -200,10 +203,10 @@ def ls_update(
     on ``apply_normal + lam M`` (one FFT pair per iteration), preconditioned
     by that operator's exact diagonal.  With several coils CG runs
     unpreconditioned on the unitary change of variables z = F^H x: the
-    penalty is a per-pixel matmul, the data term one FFT pair per coil at the
-    size of the mask's k-space lattice (``simulate._lattice``, found once
-    here).  Returns (KtVolume, CgResult) in k-space; the quadratic objective
-    at the result never exceeds its value at the warm start.
+    penalty is a per-pixel matmul, the data term one batched FFT pair over
+    all coils at the size of the mask's k-space lattice (``simulate._lattice``,
+    found once here).  Returns (KtVolume, CgResult) in k-space; the quadratic
+    objective at the result never exceeds its value at the warm start.
     """
     block = fastops.build_normal_multipliers(h, spec)
     mask = meas.mask
@@ -212,9 +215,11 @@ def ls_update(
     if single:
         rhs = lam * (meas.b[0] * mask)
     else:
-        lattice = simulate._lattice(mask)
-        (dx, dy), _ = lattice
-        rhs = lam * simulate._image_adjoint(meas.b[:, ::dx, ::dy], meas.maps, lattice)
+        lattice = simulate._lattice(mask, meas.maps)
+        (dx, dy), _, _ = lattice
+        # a copy for the adjoint to overwrite and free; a local would hold it through CG
+        rhs = lam * simulate._image_adjoint(np.moveaxis(meas.b[:, ::dx, ::dy], 0, 2).copy(),
+                                            lattice)
     require_finite("ls_update right-hand side lam * A* meas.b", rhs)
     x0 = None
     if warm_start is not None:
@@ -236,7 +241,7 @@ def ls_update(
     z0 = None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho")
 
     def op(z):
-        d = _data_normal(z, meas.maps, lattice)
+        d = _data_normal(z, lattice)
         d *= lam
         d += fastops.apply_block(block, z)
         return d

@@ -238,7 +238,12 @@ class TestErrors:
             assert run(command, "--config", tiny_config, "--out", out, "--seed", 12,
                        "--method", "zerofill") == 65
             assert "recon_zerofill.ktar was written under config hash" in capsys.readouterr().err
+        # recon checks its inputs too, so a seed-12 recon needs a seed-12 simulation
+        assert run("recon", "--config", tiny_config, "--out", out, "--seed", 12,
+                   "--method", "zerofill") == 65
+        assert "meas.ktar was written under config hash" in capsys.readouterr().err
         # a recon under seed 12 matches, but the T2 map of seed 11 does not
+        assert run("simulate", "--config", tiny_config, "--out", out, "--seed", 12) == 0
         assert run("recon", "--config", tiny_config, "--out", out, "--seed", 12,
                    "--method", "zerofill") == 0
         capsys.readouterr()
@@ -246,6 +251,25 @@ class TestErrors:
             assert run(command, "--config", tiny_config, "--out", out, "--seed", 12,
                        "--method", "zerofill") == 65
             assert "t2_zerofill.ktar was written under config hash" in capsys.readouterr().err
+
+    def test_simulated_input_of_another_config_is_data_error(self, tmp_path, tiny_config, capsys):
+        # each input swapped alone for its seed-11 twin in an otherwise seed-12 run
+        other, out = tmp_path / "s11", tmp_path / "s12"
+        assert run("simulate", "--config", tiny_config, "--out", other) == 0
+        assert run("simulate", "--config", tiny_config, "--out", out, "--seed", 12) == 0
+        for command in ("recon", "fit"):
+            assert run(command, "--config", tiny_config, "--out", out, "--seed", 12,
+                       "--method", "zerofill") == 0
+        capsys.readouterr()
+        for name, command in [("meas.ktar", "recon"), ("coils.ktar", "recon"),
+                              ("mask.ktar", "recon"), ("truth_amp.ktar", "fit"),
+                              ("phantom.ktar", "eval"), ("truth_t2.ktar", "eval")]:
+            kept = (out / name).read_bytes()
+            (out / name).write_bytes((other / name).read_bytes())
+            assert run(command, "--config", tiny_config, "--out", out, "--seed", 12,
+                       "--method", "zerofill") == 65
+            assert f"{name} was written under config hash" in capsys.readouterr().err
+            (out / name).write_bytes(kept)
 
     @pytest.mark.parametrize("section,values", [
         ("mask", {"kind": "uniform_random", "fraction": 0.0}),

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,23 +205,59 @@ class TestLatticeOperator:
             return make_mask(g, kind, 6.0, seed=2, center_block=4)
         return _anisotropic_mask(g, 4, seed=2)
 
-    @pytest.mark.parametrize("kind", sorted(CASES))
-    def test_matches_literal_formula(self, kind):
+    def _coils(self, c, g):
+        if c == 1:  # one non-uniform coil still takes the lattice path
+            rng = np.random.default_rng(4)
+            return (0.5 + rng.random((1, g.p, g.q))) * np.exp(1j * rng.random((1, g.p, g.q)))
+        return make_coils(g, c, seed=1)
+
+    @pytest.mark.parametrize(
+        "kind,c",
+        [(k, 3) for k in sorted(CASES)] + [(k, 1) for k in sorted(CASES)],
+        ids=sorted(CASES) + [f"{k}-one_coil" for k in sorted(CASES)],
+    )
+    def test_matches_literal_formula(self, kind, c):
         g, step = self.CASES[kind]
         mask = self._mask(kind, g)
-        lattice = simulate._lattice(mask)
+        coils = self._coils(c, g)
+        lattice = simulate._lattice(mask, coils)
         assert lattice[0] == step
-        coils = make_coils(g, 3, seed=1)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        y = rng.standard_normal((3, *g.shape)) + 1j * rng.standard_normal((3, *g.shape))
+        y = rng.standard_normal((c, *g.shape)) + 1j * rng.standard_normal((c, *g.shape))
         fwd = _literal_forward(x, coils, mask)
         assert _rel(forward(simulate.KtVolume(g, x), coils, mask), fwd) <= 1e-13
+        y_before = y.copy()
         assert _rel(adjoint(y, coils, mask, g).data, _literal_adjoint(y, coils, mask)) <= 1e-13
+        assert np.array_equal(y, y_before)  # the in-place adjoint works on a copy
         # the data term acts on z = F^H x, the image-domain CG variable
         z = np.fft.ifft2(x, axes=(0, 1), norm="ortho")
         want = np.fft.ifft2(_literal_adjoint(fwd, coils, mask), axes=(0, 1), norm="ortho")
-        assert _rel(solver._data_normal(z, coils, lattice), want) <= 1e-13
+        assert _rel(solver._data_normal(z, lattice), want) <= 1e-13
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's frame "
+                        "keeps a temporary argument alive, so the adjoint cannot free it")
+    def test_data_normal_transient_memory(self):
+        """One data-term application holds at most 2.5 full-size volumes, the
+        result included: the coils' lattice samples and their unfolded aliases,
+        then the aliases and the tiled image, never a third volume beside them."""
+        g = Grid(64, 64, 12)  # fig6_desk's grid, coils and lattice
+        mask = make_mask(g, "vd_cartesian", 12.0, seed=2)
+        coils = make_coils(g, 4, seed=1)
+        lattice = simulate._lattice(mask, coils)
+        assert lattice[0] == (2, 2)
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        solver._data_normal(z, lattice)  # FFT plans are cached on the first call
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = solver._data_normal(z, lattice)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == g.shape
+        assert peak <= 2.5 * z.nbytes
 
 
 class TestForwardModel:
