@@ -162,6 +162,8 @@ def _load_measurements(cfg, outdir):
 def cmd_recon(cfg, outdir, method):
     import numpy as np
 
+    from .config import ConfigError
+    from .fastops import GramSizeError
     from .mapping import recon_ktlowrank, recon_zerofill
     from .solver import irls_solve
 
@@ -181,7 +183,10 @@ def cmd_recon(cfg, outdir, method):
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report_ktlr.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
-        vol, report = irls_solve(meas, cfg.filter_spec, cfg.solver_config)
+        try:
+            vol, report = irls_solve(meas, cfg.filter_spec, cfg.solver_config)
+        except GramSizeError as exc:
+            raise ConfigError(f"invalid config: /filter: {exc}") from exc
         outdir.mkdir(parents=True, exist_ok=True)
         report.to_csv(outdir / "report_proposed.csv")
         _warn_cg_stops(report.records)

@@ -271,6 +271,8 @@ def make_mask(
             raise ValueError(f"fraction {param} yields zero samples per frame")
         frames = [_uniform_frame(rng, p, q, n) for _ in range(t)]
     elif kind == "vd_cartesian":
+        if p % 2 or q % 2:
+            raise ValueError(f"vd_cartesian needs an even grid for its 2x2 lattice, got {p}x{q}")
         if param < 4:
             raise ValueError("vd_cartesian needs acceleration >= 4 (2x2 lattice alone is 4)")
         frames = [_vd_lattice_frame(rng, p, q, param, center_block) for _ in range(t)]

@@ -17,7 +17,8 @@ to the same spatially circularized lifting over it (circular along space,
 linear along time).  That makes the reported smoothed objective provably
 non-increasing at fixed eps: the weight step majorizes it, the CG step
 never increases the majorizer from its warm start.  The exact-support
-Gram remains available through ``fastops.assemble_gram`` for diagnostics.
+Gram is the dense product ``T T*`` of ``lifting.build_lifted``, for tests
+and diagnostics only.
 """
 
 from __future__ import annotations

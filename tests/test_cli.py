@@ -303,6 +303,22 @@ class TestErrors:
             assert run(command, "--config", path, "--out", tmp_path / "o") == 65
         assert "internal error" not in capsys.readouterr().err
 
+    def test_oversize_gram_is_data_error(self, tmp_path, capsys):
+        # 5 frames x 30 x 30 window positions = 4,500 Gram rows, over the
+        # 4,096-row guard; only proposed builds the Gram
+        path = tmp_path / "big_gram.json"
+        path.write_text(json.dumps(dict(TINY, grid={"p": 32, "q": 32, "t": 6, "dt_ms": 10.0},
+                                        filter={"n1": 3, "n2": 3, "nt": 2})))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", path, "--out", out) == 0
+        assert run("recon", "--config", path, "--out", out, "--method", "ktlr") == 0
+        capsys.readouterr()
+        assert run("recon", "--config", path, "--out", out, "--method", "proposed") == 65
+        err = capsys.readouterr().err
+        assert "/filter" in err and "4500 rows" in err and "wider filter" in err
+        assert "internal error" not in err and "restriction" not in err
+        assert not (out / "recon_proposed.ktar").exists()
+
     def test_echo_start_key_is_rejected(self, tmp_path):
         # T2 comes from the slope of the log-linear fit, which the echo-time
         # origin does not change, so the config has no key for it

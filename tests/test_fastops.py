@@ -13,43 +13,16 @@ def random_volume(grid, seed=0):
     return KtVolume(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
 
 
-def random_filter(spec, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(spec.support_shape) + 1j * rng.standard_normal(spec.support_shape)
+def dense_gram(vol, spec):
+    """The exact-support Gram T T* of the explicit linear lifting."""
+    tm = build_lifted(vol, spec, "linear")
+    return tm @ tm.conj().T
 
 
 class TestHybridConv:
-    def test_identity_filter(self):
-        g = Grid(5, 4, 4)
-        spec = FilterSpec(2, 2, 2, g)
-        vol = random_volume(g, 1)
-        c = np.zeros(spec.support_shape, dtype=complex)
-        c[0, 0, 0] = 1.0
-        out = fastops.hybrid_conv(vol, c, spec)
-        want = np.moveaxis(vol.data[:, :, spec.nt - 1 :], -1, 0)
-        assert np.abs(out - want).max() < 1e-13
-
-    def test_matches_explicit_matrix(self):
-        g = Grid(8, 8, 4)
-        spec = FilterSpec(3, 3, 2, g)
-        vol = random_volume(g, 2)
-        c = random_filter(spec, 3)
-        lifted = build_lifted(vol, spec, "hybrid")
-        got = fastops.hybrid_conv(vol, c, spec).ravel()
-        want = lifted @ c.ravel()
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_valid_conv_matches_linear_matrix(self):
-        g = Grid(7, 6, 4)
-        spec = FilterSpec(3, 2, 2, g)
-        vol = random_volume(g, 4)
-        c = random_filter(spec, 5)
-        lifted = build_lifted(vol, spec, "linear")
-        got = fastops.hybrid_conv(vol, c, spec)[:, spec.n1 - 1 :, spec.n2 - 1 :].ravel()
-        want = lifted @ c.ravel()
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
     def test_mono_exponential_annihilated(self):
+        # the paper's model: the hybrid convolution T(x) c of a
+        # mono-exponential series with the temporal filter (1, -beta) is zero
         g = Grid(6, 6, 5)
         beta = 0.7
         n = np.arange(g.t)
@@ -57,14 +30,8 @@ class TestHybridConv:
         kt = dft2_forward(series)
         spec = FilterSpec(1, 1, 2, g)
         c = np.array([1.0, -beta]).reshape(2, 1, 1)
-        out = fastops.hybrid_conv(kt, c, spec)
+        out = build_lifted(kt, spec, "hybrid") @ c.ravel()
         assert np.abs(out).max() < 1e-12 * np.abs(kt.data).max()
-
-    def test_shape_mismatch(self):
-        g = Grid(5, 4, 4)
-        spec = FilterSpec(2, 2, 2, g)
-        with pytest.raises(ValueError, match="filter shape"):
-            fastops.hybrid_conv(random_volume(g), np.zeros((2, 2)), spec)
 
 
 def random_gram_cases():
@@ -83,16 +50,6 @@ def random_gram_cases():
 
 
 class TestAssembleGram:
-    @pytest.mark.parametrize("restriction,mode", [
-        ("full_circular", "hybrid"), ("valid_linear", "linear"),
-    ])
-    def test_matches_explicit_gram(self, restriction, mode):
-        for vol, spec in random_gram_cases():
-            got = fastops.assemble_gram(vol, spec, restriction).matrix
-            tm = build_lifted(vol, spec, mode)
-            want = tm @ tm.conj().T
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-
     def test_circulant_gram_formula(self):
         # the circulant Gram is T T* of the hybrid lifting with full-grid
         # spatial support, restricted to the valid-shift rows
@@ -111,23 +68,24 @@ class TestAssembleGram:
         g = Grid(5, 4, 6)
         spec = FilterSpec(g.p, g.q, 2, g)
         vol = random_volume(g, 8)
-        exact = fastops.assemble_gram(vol, spec).matrix
+        exact = dense_gram(vol, spec)
         circ = fastops.assemble_gram_circulant(vol, spec).matrix
         assert np.abs(exact - circ).max() <= 1e-10 * np.abs(exact).max()
 
     def test_degenerate_single_temporal_partition(self):
+        # Nt = T, so k = 1: one block, the circulant of the summed cross-power
         g = Grid(5, 5, 3)
-        spec = FilterSpec(2, 2, g.t, g)  # Nt = T, so k = 1
+        spec = FilterSpec(2, 2, g.t, g)
         vol = random_volume(g, 9)
-        got = fastops.assemble_gram(vol, spec, "valid_linear")
+        got = fastops.assemble_gram_circulant(vol, spec).matrix
         assert spec.k == 1
-        tm = build_lifted(vol, spec, "linear")
-        want = tm @ tm.conj().T
-        assert np.abs(got.matrix - want).max() <= 1e-10 * np.abs(want).max()
+        tm = build_lifted(vol, FilterSpec(g.p, g.q, spec.nt, g), "hybrid")
+        _, fx, fy = spec.row_indices("linear")
+        rows = tm[fx * g.q + fy]
+        want = rows @ rows.conj().T
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    @pytest.mark.parametrize("assemble", [
-        fastops.assemble_gram, fastops.assemble_gram_circulant,
-    ])
+    @pytest.mark.parametrize("assemble", [fastops.assemble_gram_circulant])
     def test_hermitian_psd_property(self, assemble):
         for seed in range(50):
             rng = np.random.default_rng(seed)
@@ -149,15 +107,17 @@ class TestAssembleGram:
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         vol = random_volume(g, 10)
-        a = fastops.assemble_gram(vol, spec, "valid_linear").matrix
-        b = fastops.assemble_gram(vol, spec, "valid_linear").matrix
+        a = fastops.assemble_gram_circulant(vol, spec).matrix
+        b = fastops.assemble_gram_circulant(vol, spec).matrix
         assert np.array_equal(a, b)
 
     def test_size_guard(self):
+        # 5 frames x 62 x 62 window positions = 19,220 rows
         g = Grid(64, 64, 12)
         spec = FilterSpec(3, 3, 2, g)
-        with pytest.raises(fastops.GramSizeError, match="valid_linear"):
-            fastops.assemble_gram(random_volume(g), spec, "full_circular")
+        with pytest.raises(fastops.GramSizeError, match="wider filter") as info:
+            fastops.assemble_gram_circulant(random_volume(g), spec)
+        assert "restriction" not in str(info.value)
 
     def test_modeling_error_reported(self, capsys):
         # paper-like regime: spatial support within 10 percent of the grid;
@@ -165,7 +125,7 @@ class TestAssembleGram:
         g = Grid(32, 32, 6)
         spec = FilterSpec(29, 29, 2, g)
         vol = random_volume(g, 11)
-        exact = fastops.assemble_gram(vol, spec, "valid_linear").matrix
+        exact = dense_gram(vol, spec)
         circ = fastops.assemble_gram_circulant(vol, spec).matrix
         rel = np.linalg.norm(circ - exact) / np.linalg.norm(exact)
         print(f"hybrid circulant Gram modeling error (rel Frobenius): {rel:.3e}")

@@ -1,14 +1,19 @@
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import exprec
+from exprec import fastops, simulate, solver
+from exprec.core import Grid, dft2_forward
+from exprec.lifting import FilterSpec
 
 MODULES = ["exprec"] + [f"exprec.{m.name}" for m in pkgutil.iter_modules(exprec.__path__)]
 
@@ -54,3 +59,32 @@ def test_benchmark_trace_targets_resolve():
         if trace_boot._resolve(module, dotted) is None
     ]
     assert unresolved == []
+
+
+def test_fastops_functions_are_reached_by_recon(monkeypatch):
+    # fastops holds the kernels recon runs and nothing else; the dense
+    # references live with the oracle in lifting
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in fastops.__all__:
+        fn = getattr(fastops, name)
+        if inspect.isfunction(fn):
+            calls[name] = 0
+            monkeypatch.setattr(fastops, name, counting(name, fn))
+    g = Grid(8, 8, 4)
+    spec = FilterSpec(5, 5, 2, g)
+    ph = simulate.make_phantom(simulate.PhantomSpec(g, kind="regions_smoothed"), seed=1)
+    kt = dft2_forward(ph.series)
+    mask = simulate.make_mask(g, "uniform_random", 0.5, seed=2)
+    cfg = solver.SolverConfig(outer_iters=1, cg_iters=5)
+    for coils in (1, 2):
+        meas = simulate.simulate_measurements(kt, simulate.make_coils(g, coils, seed=3), mask)
+        vol, _ = solver.irls_solve(meas, spec, cfg)
+        assert np.all(np.isfinite(vol.data))
+    assert sorted(n for n, count in calls.items() if count == 0) == []

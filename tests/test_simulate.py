@@ -161,6 +161,13 @@ class TestMasks:
         with pytest.raises(ValueError, match="kind"):
             make_mask(g, "radial", 0.3)
 
+    @pytest.mark.parametrize("p,q", [(63, 64), (64, 63)])
+    def test_vd_cartesian_rejects_odd_grid(self, p, q):
+        # the 2x2 lattice needs even P and Q, whatever the acceleration
+        for accel in (4.0, 8.0):
+            with pytest.raises(ValueError, match=f"even grid for its 2x2 lattice, got {p}x{q}"):
+                make_mask(Grid(p, q, 4), "vd_cartesian", accel, seed=0)
+
 
 def _literal_forward(x, maps, mask):
     """mask * fft2(S_c * ifft2(x)) per coil, with full-size FFTs."""

@@ -47,8 +47,9 @@ class TestSchattenCost:
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         vol = KtVolume(g, random_volume(g, 3))
-        sv = np.linalg.svd(build_lifted(vol, spec, "linear"), compute_uv=False)
-        lam = np.linalg.eigvalsh(fastops.assemble_gram(vol, spec, "valid_linear").matrix)
+        tm = build_lifted(vol, spec, "linear")
+        sv = np.linalg.svd(tm, compute_uv=False)
+        lam = np.linalg.eigvalsh(tm @ tm.conj().T)
         p = 0.7
         sv = sv[sv > 1e-6 * sv.max()]
         lam = lam[lam > 1e-12 * lam.max()]
@@ -109,10 +110,9 @@ class TestWeightMath:
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 8)
-        r = fastops.assemble_gram(x, spec).matrix
-        lam, u = np.linalg.eigh(r)
-        h = solver._weights_from_eig(lam, u, 0.1, 0.6)
         t = build_lifted(KtVolume(g, x), spec, "linear")
+        lam, u = np.linalg.eigh(t @ t.conj().T)
+        h = solver._weights_from_eig(lam, u, 0.1, 0.6)
         lhs = float(np.trace(t.conj().T @ h @ t).real)
         # H^(1/2) from the same eigenpairs: rows h_i = (lam_i + eps)^(p/4 - 1/2) u_i*
         half = ((np.clip(lam, 0.0, None) + 0.1) ** (0.6 / 4.0 - 0.5))[:, None] * u.conj().T
