@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 import jsonschema
@@ -107,20 +107,20 @@ SCHEMA = {
     },
 }
 
+
+def _field_defaults(cls):
+    """The defaulted fields of a spec dataclass, as a config section."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# every section is filled before hashing, so the hash pins each value the run uses
 _DEFAULTS = {
     "grid": {"dt_ms": 10.0},
-    "phantom": {
-        "kind": "regions_smoothed",
-        "l": 1,
-        "bandwidth": 2,
-        "t2_low": 40.0,
-        "t2_high": 250.0,
-        "amp_variation": 0.3,
-    },
+    "phantom": _field_defaults(PhantomSpec),
     "coils": {"count": 1},
     "mask": {"static": False, "center_block": 8},
     "noise": {"sigma": 0.0, "relative": True},
-    "solver": {},
+    "solver": _field_defaults(SolverConfig),
     "ktlr": {"mu_rel": 0.02, "iters": 120},
 }
 

@@ -1,15 +1,16 @@
 """FFT-based implicit implementations of the heavy kernels.
 
-Everything here works on raw ``(P, Q, T)`` complex arrays (the data of a
-KtVolume), and is what the IRLS solver runs:
+Everything here works on raw ``(P, Q, T)`` complex arrays and is what the
+IRLS solver runs.  Both kernels index the valid linear window through one
+lag table, ``_lags`` (the circular spatial lags m - m' of its positions):
+the Gram gathers through it, the penalty scatters through its transpose.
 
 * ``assemble_gram_circulant``: the circulant-approximate Gram over the
   valid linear window, in which the sum over the N1 x N2 spatial filter
   taps is extended to the whole (circular) grid.  Each temporal block is
   then one inverse FFT of a cross-power spectrum summed over Nt frames,
-  sampled at the spatial shift differences.  This is the Gram of the
-  spatially circularized lifting that also underlies the collapsed
-  penalty below;
+  gathered at the lags.  This is the Gram of the spatially circularized
+  lifting that also underlies the collapsed penalty below;
 * ``build_normal_multipliers`` / ``apply_block``: exact collapse of the
   weighted penalty ``Tr(T(x)* H T(x))`` of a Hermitian weight matrix H over
   the valid linear window (full circular spatial lags, Nt temporal taps)
@@ -38,7 +39,6 @@ __all__ = [
     "GramSizeError",
     "assemble_gram_circulant",
     "build_normal_multipliers",
-    "multiplier_fields",
     "apply_block",
     "apply_normal",
 ]
@@ -50,14 +50,6 @@ class GramSizeError(ValueError):
     """Dense Gram would exceed the desk-scale row guard."""
 
 
-def _as_volume(rho_hat, spec):
-    """The volume's data as a complex array, checked against the spec's grid."""
-    x = np.asarray(getattr(rho_hat, "data", rho_hat), dtype=np.complex128)
-    if x.shape != spec.grid.shape:
-        raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
-    return x
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Dense Gram over the valid-shift set, in k x k temporal partitions."""
@@ -65,13 +57,16 @@ class GramMatrix:
     matrix: np.ndarray = field(repr=False)
 
 
-def _row_positions(spec):
-    """Spatial (x, y) grid indices of the valid linear window, C order."""
-    _, nx, ny = spec.row_shape("linear")
-    ox, oy = spec.spatial_offset("linear")
-    fx = np.repeat(np.arange(ox, ox + nx), ny)
-    fy = np.tile(np.arange(oy, oy + ny), nx)
-    return fx, fy
+def _lags(spec):
+    """(S, S) flat (P, Q) grid index of the circular lag m - m'.
+
+    m and m' run over the S = M1 M2 positions of the valid linear window in
+    C order, so entry (i, j) is the lag from position j to position i.
+    """
+    p, q = spec.grid.p, spec.grid.q
+    _, wp, wq = spec.row_shape("linear")
+    m1, m2 = np.divmod(np.arange(wp * wq), wq)
+    return ((m1[:, None] - m1[None, :]) % p) * q + (m2[:, None] - m2[None, :]) % q
 
 
 def _guard_rows(spec):
@@ -83,32 +78,32 @@ def _guard_rows(spec):
         )
 
 
-def assemble_gram_circulant(rho_hat, spec: FilterSpec) -> GramMatrix:
+def assemble_gram_circulant(x, spec: FilterSpec) -> GramMatrix:
     """Circulant-approximate Gram: spatial tap sums extended to the grid.
 
     Block (tau, tau') holds ``g[m - m']`` on the valid linear window, where
     ``g = ifft2(sum_j X_(tau+j) conj(X_(tau'+j)))`` over j < Nt and X is the
-    spatial DFT of the volume, so each block is a sampled circulant.  One
-    cross-power, one ``ifft2`` and one gather per upper block; the lower
-    blocks are their conjugate transposes, so the result is exactly
-    Hermitian.  Exactly the Gram of the spatially circularized lifting;
-    equals the exact-support Gram ``T T*`` of the linear lifting when
-    N1 x N2 covers the whole grid.
+    spatial DFT of the volume ``x``, so each block is a sampled circulant.
+    One cross-power, one ``ifft2`` and one gather through the lag table per
+    upper block; the lower blocks are their conjugate transposes, so the
+    result is exactly Hermitian.  Exactly the Gram of the spatially
+    circularized lifting; equals the exact-support Gram ``T T*`` of the
+    linear lifting when N1 x N2 covers the whole grid.
     """
-    x = _as_volume(rho_hat, spec)
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != spec.grid.shape:
+        raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
     _guard_rows(spec)
-    p, q, _ = spec.grid.shape
     k = spec.k
-    fx, fy = _row_positions(spec)
-    nr = fx.size
-    flat = ((fx[:, None] - fx[None, :]) % p) * q + (fy[:, None] - fy[None, :]) % q
+    lags = _lags(spec)
+    nr = lags.shape[0]
     # win[:, :, tau] holds the Nt spatial spectra X_tau .. X_(tau+Nt-1)
     win = np.lib.stride_tricks.sliding_window_view(np.fft.fft2(x, axes=(0, 1)), spec.nt, axis=2)
     out = np.empty((k * nr, k * nr), dtype=np.complex128)
     for tau in range(k):
         for tau2 in range(tau, k):
             cross = np.einsum("pqj,pqj->pq", win[:, :, tau], win[:, :, tau2].conj())
-            blk = np.fft.ifft2(cross).take(flat)
+            blk = np.fft.ifft2(cross).take(lags)
             if tau == tau2:
                 blk = 0.5 * (blk + blk.conj().T)
             out[tau * nr : (tau + 1) * nr, tau2 * nr : (tau2 + 1) * nr] = blk
@@ -120,44 +115,35 @@ def assemble_gram_circulant(rho_hat, spec: FilterSpec) -> GramMatrix:
 # Collapsed normal operator for the least-squares step
 
 
-def multiplier_fields(h, spec: FilterSpec):
-    """k x k fields of the weight matrix ``h`` over the valid linear window.
+def build_normal_multipliers(h, spec: FilterSpec):
+    """The (P, Q, T, T) penalty block of the weight matrix ``h``.
 
-    ``h`` is the Hermitian (k M1 M2)^2 weight matrix, rows and columns in
-    C order over (tau, m) with m the spatial window position.  Then
-    ``fields[tau,tau'][kappa] = sum_{m,m'} h[(tau,m),(tau',m')]
-    exp(-2 pi i kappa (m' - m))``: one scatter of h, in its own order, over
-    the spatial lags m' - m plus one batched FFT.  For a filter bank A
-    (rows the filters) and ``h = A* A`` it equals the literal per-filter
-    formula ``sum_i conj(Ahat_i_tau) * Ahat_i_tau'``.
+    ``h`` is the Hermitian (k S)^2 weight matrix, rows and columns in C
+    order over (tau, m) with m the spatial window position.  Its k x k
+    fields ``fields[tau,tau'][kappa] = sum_{m,m'} h[(tau,m),(tau',m')]
+    exp(-2 pi i kappa (m' - m))`` are one scatter of h, in its own order,
+    through the transposed lag table plus one batched FFT; for a filter
+    bank A (rows the filters) and ``h = A* A`` they equal the literal
+    per-filter formula ``sum_i conj(Ahat_i_tau) * Ahat_i_tau'``.  In the
+    image domain z = F^H x (F the unitary DFT) the penalty normal operator
+    is ``(N z)[r] = block[r] @ z[r]``, one Hermitian PSD T x T block per
+    pixel, ``block[r, a + s, b + s] = sum_{s < Nt} fields[a, b, r]``.
     """
-    k, p, q = spec.k, spec.grid.p, spec.grid.q
-    _, wp, wq = spec.row_shape("linear")
-    s = wp * wq
-    if np.shape(h) != (k * s, k * s):
-        raise ValueError(f"weight matrix must be {k * s} x {k * s}, got shape {np.shape(h)}")
+    k, p, q, t = spec.k, spec.grid.p, spec.grid.q, spec.grid.t
+    n = spec.n_rows("linear")
+    if np.shape(h) != (n, n):
+        raise ValueError(f"weight matrix must be {n} x {n}, got shape {np.shape(h)}")
     h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    m1, m2 = np.divmod(np.arange(s), wq)
-    lag = ((m1[None, :] - m1[:, None]) % p) * q + (m2[None, :] - m2[:, None]) % q
-    # h[(tau, m), (tau', m')] lands in bin range tau * k + tau' of P*Q bins each
+    # h[(tau, m), (tau', m')] lands in bin range tau * k + tau' of P*Q bins each, at lag
+    # m' - m; a C-order copy of the transposed lags keeps the sum C order, so ravel copies nothing
     pair = (np.arange(k)[:, None] * k + np.arange(k)) * (p * q)
-    flat = (pair[:, None, :, None] + lag[None, :, None, :]).ravel()
+    flat = (pair[:, None, :, None] + _lags(spec).T.copy()[None, :, None, :]).ravel()
     fields = np.zeros((k, k, p, q), dtype=np.complex128)
     emb = fields.reshape(-1)
     emb.real = np.bincount(flat, weights=h.real, minlength=emb.size)
     emb.imag = np.bincount(flat, weights=h.imag, minlength=emb.size)
-    return np.fft.fft2(fields, axes=(2, 3), out=fields)
-
-
-def build_normal_multipliers(h, spec: FilterSpec):
-    """The (P, Q, T, T) penalty block of the weight matrix ``h``.
-
-    In the image domain z = F^H x (F the unitary DFT) the penalty normal
-    operator is ``(N z)[r] = block[r] @ z[r]``, one Hermitian PSD T x T
-    block per pixel, ``block[r, a + s, b + s] = sum_{s < Nt} fields[a, b, r]``.
-    """
-    fields = multiplier_fields(h, spec)
-    k, t = spec.k, spec.grid.t
+    del flat  # (k S)^2 indices: free them before the block is allocated
+    np.fft.fft2(fields, axes=(2, 3), out=fields)
     block = np.zeros(spec.grid.shape + (t,), dtype=np.complex128)
     # add through the (T, T, P, Q) view of the block: each (P, Q) plane of
     # fields is read contiguously, and no transposed copy of fields is made

@@ -126,7 +126,7 @@ def _svt(mat, thresh):
     return (u * s) @ vh, s
 
 
-def recon_ktlowrank(meas: Measurements, mu: float, iters: int = 100) -> KtlrResult:
+def recon_ktlowrank(meas: Measurements, mu: float, *, iters: int) -> KtlrResult:
     """Nuclear-norm k-t low rank baseline via proximal gradient (ISTA).
 
     Minimizes 0.5 ||A x - b||^2 + mu ||Casorati(x)||_* with unit step

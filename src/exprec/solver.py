@@ -3,13 +3,8 @@
 Alternates a weight update (eigendecomposition of the valid-shift Gram
 ``U Lambda U*``, weight matrix ``H = U (Lambda + eps I)^(p/2 - 1) U*``) with
 a weighted least-squares update solved matrix-free by conjugate gradients
-on the normal equations.  With one uniform coil the data term is the
-k-space mask M, so CG runs in k-space on ``fastops.apply_normal + lam M``
-(one FFT pair per iteration) with a Jacobi preconditioner, the exact
-diagonal of that operator.  With several coils CG runs unpreconditioned on
-the image-domain variable ``z = F^H x``: the penalty is the per-pixel T x T
-block from fastops, the data term ``sum_c conj(S_c) F^H M F S_c`` one FFT pair
-over all coils at the mask's k-space lattice size (``simulate._lattice``).
+on the normal equations; ``ls_update`` says how CG runs for one coil and
+for several.
 
 The weights live on one valid-shift set, the valid linear window.  The
 weight Gram, the smoothed objective and the quadratic penalty all refer

@@ -48,7 +48,7 @@ def test_criterion_1_oracle_equivalence():
         ft, fx, fy = spec.row_indices("linear")
         rows = t_full[((ft - spec.nt + 1) * p + fx) * q + fy]
         ref = rows @ rows.conj().T
-        gram = fastops.assemble_gram_circulant(vol, spec).matrix
+        gram = fastops.assemble_gram_circulant(vol.data, spec).matrix
         worst_gram = max(worst_gram, np.linalg.norm(gram - ref) / np.linalg.norm(ref))
 
         # collapsed penalty of H = A* A against the dense filter bank A

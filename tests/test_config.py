@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from exprec.config import ConfigError, ExperimentConfig, available_presets, load_preset
+from exprec.solver import SolverConfig
 
 BASE = {
     "seed": 7,
@@ -70,6 +72,16 @@ class TestHash:
         a = ExperimentConfig.from_doc(BASE)
         b = ExperimentConfig.from_doc(BASE, seed=8)
         assert a.config_hash != b.config_hash
+
+    def test_omitted_solver_keys_enter_the_hash(self):
+        # the hashed doc pins every solver value the run uses
+        doc = json.loads(json.dumps(BASE))
+        doc["solver"] = {}
+        cfg = ExperimentConfig.from_doc(doc)
+        defaults = dataclasses.asdict(SolverConfig())
+        assert cfg.doc["solver"] == defaults
+        doc["solver"] = defaults
+        assert ExperimentConfig.from_doc(doc).config_hash == cfg.config_hash
 
 
 class TestPresets:

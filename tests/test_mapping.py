@@ -192,6 +192,6 @@ class TestKtLowRank:
         g = Grid(8, 8, 3)
         _, _, meas = make_measurements(g)
         with pytest.raises(ValueError):
-            recon_ktlowrank(meas, mu=-1.0)
+            recon_ktlowrank(meas, mu=-1.0, iters=10)
         with pytest.raises(ValueError):
             recon_ktlowrank(meas, mu=0.1, iters=0)
