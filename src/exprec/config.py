@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, validation and canonical hashing.
+"""Experiment configuration: validation and canonical hashing.
 
 A config document fully determines one experiment (grid, phantom, coils,
 mask, noise, filter and solver settings).  Unknown keys are rejected and
@@ -13,99 +13,16 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
-import jsonschema
-
 from .core import Grid
 from .lifting import FilterSpec
 from .simulate import PhantomSpec
 from .solver import SolverConfig
 
-__all__ = ["ExperimentConfig", "ConfigError", "SCHEMA", "available_presets", "load_preset"]
+__all__ = ["ExperimentConfig", "ConfigError", "available_presets", "load_preset"]
 
 
 class ConfigError(ValueError):
     pass
-
-
-_NUM = {"type": "number"}
-_POSNUM = {"type": "number", "exclusiveMinimum": 0}
-_POSINT = {"type": "integer", "minimum": 1}
-
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["grid", "phantom", "coils", "mask", "filter", "solver", "seed"],
-    "properties": {
-        "name": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["p", "q", "t"],
-            "properties": {"p": _POSINT, "q": _POSINT, "t": {"type": "integer", "minimum": 2}, "dt_ms": _POSNUM},
-        },
-        "phantom": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["regions_smoothed", "bandlimited_exact"]},
-                "l": _POSINT,
-                "bandwidth": _POSINT,
-                "t2_low": _POSNUM,
-                "t2_high": _POSNUM,
-                "amp_variation": {"type": "number", "minimum": 0},
-            },
-        },
-        "coils": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"count": _POSINT},
-        },
-        "mask": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["uniform_random", "vd_cartesian"]},
-                "fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "acceleration": {"type": "number", "minimum": 4},
-                "static": {"type": "boolean"},
-                "center_block": _POSINT,
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma": {"type": "number", "minimum": 0},
-                "relative": {"type": "boolean"},
-            },
-        },
-        "filter": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n1", "n2", "nt"],
-            "properties": {"n1": _POSINT, "n2": _POSINT, "nt": _POSINT},
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "p": _POSNUM,
-                "lam": _POSNUM,
-                "eps_decay": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "outer_iters": _POSINT,
-                "cg_iters": _POSINT,
-                "cg_tol": _POSNUM,
-            },
-        },
-        "ktlr": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"mu_rel": _POSNUM, "iters": _POSINT},
-        },
-    },
-}
 
 
 def _field_defaults(cls):
@@ -124,9 +41,64 @@ _DEFAULTS = {
     "ktlr": {"mu_rel": 0.02, "iters": 120},
 }
 
+# the keys with no default; every other key takes the JSON type of its default
+_KEYS = {
+    "grid": {"p": int, "q": int, "t": int},
+    "mask": {"kind": str, "fraction": float, "acceleration": float},
+    "filter": {"n1": int, "n2": int, "nt": int},
+}
+_TYPES = {s: {k: type(v) for k, v in _DEFAULTS.get(s, {}).items()} | _KEYS.get(s, {})
+          for s in _DEFAULTS | _KEYS}
+_TYPES[""] = {"name": str, "seed": int} | dict.fromkeys(_TYPES, dict)
+_REQUIRED = {
+    "": ("seed", "grid", "phantom", "coils", "mask", "filter", "solver"),
+    "grid": ("p", "q", "t"),
+    "mask": ("kind",),
+    "filter": ("n1", "n2", "nt"),
+}
+_TYPE_NAMES = {dict: "object", str: "string", bool: "boolean", int: "integer", float: "number"}
+_MASK_PARAM = {"uniform_random": "fraction", "vd_cartesian": "acceleration"}
 
-def _json_pointer(error):
-    return "/" + "/".join(str(p) for p in error.absolute_path)
+# the ranges of the values no spec takes (the specs check their own), each as
+# a test that holds for a value out of range, and its message
+_OUT_OF_RANGE = {
+    "/seed": (lambda v: v < 0 or v >= 2**64, "is not in [0, 2**64)"),
+    "/coils/count": (lambda v: v < 1, "is less than 1"),
+    "/mask/kind": (lambda v: v not in _MASK_PARAM, f"is not one of {list(_MASK_PARAM)}"),
+    "/mask/fraction": (lambda v: v <= 0 or v > 1, "is not in (0, 1]"),
+    "/mask/acceleration": (lambda v: v < 4, "is less than 4"),
+    "/mask/center_block": (lambda v: v < 1, "is less than 1"),
+    "/noise/sigma": (lambda v: v < 0, "is negative"),
+    "/ktlr/mu_rel": (lambda v: v <= 0, "is not positive"),
+    "/ktlr/iters": (lambda v: v < 1, "is less than 1"),
+}
+
+
+def _is(value, kind):
+    """JSON typing: a bool is neither integer nor number, and an int is also a number."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _errors(node, section="", pointer=""):
+    """Every structure, type and range error in a config doc, as 'pointer: message'."""
+    if not _is(node, dict):
+        return [f"{pointer or '/'}: {node!r} is not of type 'object'"]
+    types = _TYPES[section]
+    errors = [f"{pointer}/{k}: required key is missing"
+              for k in _REQUIRED.get(section, ()) if k not in node]
+    for key, value in node.items():
+        at, kind = f"{pointer}/{key}", types.get(key)
+        if kind is None:
+            errors.append(f"{at}: unknown key")
+        elif kind is dict:
+            errors += _errors(value, key, at)
+        elif not _is(value, kind):
+            errors.append(f"{at}: {value!r} is not of type '{_TYPE_NAMES[kind]}'")
+        elif at in _OUT_OF_RANGE and _OUT_OF_RANGE[at][0](value):
+            errors.append(f"{at}: {value!r} {_OUT_OF_RANGE[at][1]}")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -140,38 +112,31 @@ class ExperimentConfig:
     solver_config: SolverConfig = field(init=False)
 
     def __post_init__(self):
-        g = self.doc["grid"]
-        # the schema bounds each value alone; the specs check them together
-        try:
-            grid = Grid(g["p"], g["q"], g["t"], g["dt_ms"])
-            specs = {
-                "grid": grid,
-                "phantom_spec": PhantomSpec(grid, **self.doc["phantom"]),
-                "filter_spec": FilterSpec(grid=grid, **self.doc["filter"]),
-                "solver_config": SolverConfig(**self.doc["solver"]),
-            }
-        except ValueError as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
-        for name, spec in specs.items():
-            object.__setattr__(self, name, spec)
+        # each spec checks the ranges of its own values; its errors name its section
+        for name, section, make in [
+            ("grid", "grid", lambda p, q, t, dt_ms: Grid(p, q, t, dt_ms)),
+            ("phantom_spec", "phantom", lambda **kw: PhantomSpec(self.grid, **kw)),
+            ("filter_spec", "filter", lambda **kw: FilterSpec(grid=self.grid, **kw)),
+            ("solver_config", "solver", SolverConfig),
+        ]:
+            try:
+                object.__setattr__(self, name, make(**self.doc[section]))
+            except ValueError as exc:
+                raise ConfigError(f"invalid config: /{section}: {exc}") from exc
 
     @classmethod
     def from_doc(cls, doc, seed=None):
         doc = copy.deepcopy(doc)
-        if seed is not None:
+        if seed is not None and isinstance(doc, dict):
             doc["seed"] = int(seed)
-        validator = jsonschema.Draft202012Validator(SCHEMA)
-        errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+        errors = _errors(doc)
         if errors:
-            msgs = [f"{_json_pointer(e)}: {e.message}" for e in errors]
-            raise ConfigError("invalid config: " + "; ".join(msgs))
+            raise ConfigError("invalid config: " + "; ".join(sorted(errors)))
         for section, defaults in _DEFAULTS.items():
             doc[section] = {**defaults, **doc.get(section, {})}
-        mask = doc["mask"]
-        if mask["kind"] == "uniform_random" and "fraction" not in mask:
-            raise ConfigError("/mask: uniform_random requires 'fraction'")
-        if mask["kind"] == "vd_cartesian" and "acceleration" not in mask:
-            raise ConfigError("/mask: vd_cartesian requires 'acceleration'")
+        kind = doc["mask"]["kind"]
+        if _MASK_PARAM[kind] not in doc["mask"]:
+            raise ConfigError(f"invalid config: /mask: {kind} requires {_MASK_PARAM[kind]!r}")
         return cls(doc=doc)
 
     @classmethod
@@ -211,7 +176,7 @@ class ExperimentConfig:
     @property
     def mask_param(self) -> float:
         m = self.doc["mask"]
-        return float(m["fraction"] if m["kind"] == "uniform_random" else m["acceleration"])
+        return float(m[_MASK_PARAM[m["kind"]]])
 
 
 def available_presets():

@@ -68,6 +68,8 @@ class PhantomSpec:
             raise ValueError("need at least one exponential component")
         if self.bandwidth < 1:
             raise ValueError("bandwidth must be >= 1")
+        if self.amp_variation < 0:
+            raise ValueError(f"amp_variation must be >= 0, got {self.amp_variation}")
         if self.kind == "bandlimited_exact" and self.bandwidth < self.l:
             raise ValueError(
                 "bandlimited_exact needs bandwidth >= L so products of the "

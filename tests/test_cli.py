@@ -175,6 +175,39 @@ class TestErrors:
                    "--seed", top + 1) == 65
         assert "/seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [None, 5], ids=["no_seed", "seed_5"])
+    @pytest.mark.parametrize("text", ["[]", '"x"'], ids=["list", "string"])
+    def test_non_object_config_is_data_error(self, tmp_path, text, seed, capsys):
+        # the --seed override must not index into the doc before its type is checked
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        argv = ["simulate", "--config", path, "--out", tmp_path / "o"]
+        assert run(*argv, *(["--seed", seed] if seed is not None else [])) == 65
+        err = capsys.readouterr().err
+        assert "is not of type 'object'" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("solver", "outer_iters", 2.0),
+        ("grid", "p", 16.0),
+        ("ktlr", "iters", 3.0),
+        (None, "seed", 11.0),
+        ("coils", "count", 1.0),
+    ], ids=["outer_iters", "grid_p", "ktlr_iters", "seed", "coil_count"])
+    def test_integral_float_at_integer_key_is_data_error(self, tmp_path, section, key, value,
+                                                          capsys):
+        # 2.0 is a JSON number but no integer; accepted, it crashed range() or
+        # hashed apart from 2
+        bad = json.loads(json.dumps(TINY))
+        (bad[section] if section else bad)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        pointer = f"/{section}/{key}" if section else f"/{key}"
+        for command in ("phantom", "mask", "simulate", "recon", "fit", "eval", "render"):
+            assert run(command, "--config", path, "--out", tmp_path / "o") == 65
+            err = capsys.readouterr().err
+            assert f"{pointer}: {value!r} is not of type 'integer'" in err, (command, err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("changes", [
         {"grid": {"p": 12}, "filter": {"n1": 9}},
         {"grid": {"t": 8}},
@@ -277,26 +310,29 @@ class TestErrors:
         # eps runs from lambda_max(R_0) / 100 down to 1e-9 lambda_max(R_0)
         ("solver", {"eps0": 1e-3}),
         ("solver", {"eps_min": 0.0}),
-        # each value below passes the schema alone; the specs reject them
+        # each value below has the right type, and only the spec built from
+        # its section checks its range; the error names that section
         ("solver", {"p": 3.0}),
         ("filter", {"n1": 80}),
         ("phantom", {"t2_low": 300.0, "t2_high": 100.0}),
+        ("grid", {"t": 1}),
     ], ids=["zero_fraction", "vd_acceleration_2", "solver_eps0", "solver_eps_min",
-            "solver_p_3", "filter_n1_80", "t2_low_above_high"])
-    def test_invalid_config_schema(self, tmp_path, section, values):
+            "solver_p_3", "filter_n1_80", "t2_low_above_high", "grid_t_1"])
+    def test_invalid_config_schema(self, tmp_path, section, values, capsys):
         bad = json.loads(json.dumps(TINY))
         bad[section] = values if section == "mask" else {**bad[section], **values}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
-        assert run("simulate", "--config", path, "--out", tmp_path / "o") == 65
-        assert run("recon", "--config", path, "--out", tmp_path / "o") == 65
+        for command in ("simulate", "recon"):
+            assert run(command, "--config", path, "--out", tmp_path / "o") == 65
+            assert f"invalid config: /{section}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mask", [
         {"kind": "vd_cartesian", "acceleration": 200},
         {"kind": "uniform_random", "fraction": 0.001},
     ], ids=["vd_fewer_than_center_block", "uniform_zero_samples"])
     def test_infeasible_mask_is_data_error(self, tmp_path, mask, capsys):
-        # each passes the schema; only make_mask sees that the grid cannot hold it
+        # each passes the config checks; only make_mask sees that the grid cannot hold it
         path = tmp_path / "infeasible.json"
         path.write_text(json.dumps(dict(TINY, mask=mask)))
         for command in ("mask", "simulate"):

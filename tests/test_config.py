@@ -59,6 +59,43 @@ class TestValidation:
         cfg = ExperimentConfig.from_doc(BASE, seed=99)
         assert cfg.seed == 99
 
+    @pytest.mark.parametrize("path,value,pointer", [
+        (("phantom", "amp_variation"), -0.1, "/phantom"),
+        (("coils", "count"), 0, "/coils/count"),
+        (("mask", "kind"), "radial", "/mask/kind"),
+        (("mask", "center_block"), 0, "/mask/center_block"),
+        (("mask", "static"), "no", "/mask/static"),
+        (("noise", "sigma"), -1, "/noise/sigma"),
+        (("noise", "relative"), 1, "/noise/relative"),
+        (("ktlr", "mu_rel"), 0, "/ktlr/mu_rel"),
+        (("ktlr", "iters"), 0, "/ktlr/iters"),
+        (("seed",), -1, "/seed"),
+        (("name",), 5, "/name"),
+        (("grid",), [], "/grid"),
+        (("grid", "dt_ms"), "10", "/grid/dt_ms"),
+        (("coils", "count"), True, "/coils/count"),
+    ])
+    def test_each_value_is_checked(self, path, value, pointer):
+        # each bound and type is checked once, by the spec that takes the
+        # value or else by the config's own table
+        doc = json.loads(json.dumps(BASE))
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=pointer) as info:
+            ExperimentConfig.from_doc(doc)
+        assert path[-1] in str(info.value)
+
+    def test_every_error_is_listed(self):
+        doc = json.loads(json.dumps(BASE))
+        doc["seed"], doc["coils"]["count"], doc["grid"]["p"] = -1, 0, 16.0
+        del doc["filter"]["nt"]
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_doc(doc)
+        for pointer in ("/seed", "/coils/count", "/grid/p", "/filter/nt"):
+            assert pointer in str(info.value)
+
 
 class TestHash:
     def test_hash_is_stable_and_key_order_independent(self):

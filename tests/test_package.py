@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -43,6 +44,33 @@ def test_cli_help_loads_no_numpy():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["numpy"]
+
+
+def test_config_load_imports_no_jsonschema(tmp_path):
+    # the config checks its keys, types and ranges itself
+    from test_cli import TINY
+
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    code = (
+        "import sys\n"
+        "import exprec.cli\n"
+        "assert exprec.cli.main(['mask', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert 'jsonschema' not in sys.modules\n"
+    )
+    src = str(Path(exprec.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", code, str(path), str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "mask.ktar").exists()
 
 
 def test_benchmark_trace_targets_resolve():
