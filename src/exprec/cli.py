@@ -22,7 +22,7 @@ EXIT_INTERNAL = 70
 
 
 class DataError(ValueError):
-    """An input file whose shape or config hash does not fit the run's config."""
+    """An input file off the run's config (shape or config hash), or not finite."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +77,9 @@ def _write(outdir, name, data, cfg):
 
 def _read(outdir, name, shape, cfg):
     """One pipeline array, which must fit ``shape`` (None on an axis of any
-    length) and be stamped with ``cfg.config_hash``."""
+    length), be stamped with ``cfg.config_hash`` and hold only finite values."""
+    import numpy as np
+
     from . import ktar
 
     path = outdir / name
@@ -92,6 +94,8 @@ def _read(outdir, name, shape, cfg):
             f"{path} was written under config hash {stamp}, "
             f"but this run's config hash is {cfg.config_hash}"
         )
+    if not np.isfinite(data).all():
+        raise DataError(f"{path} holds a non-finite value")
     return data
 
 
@@ -305,14 +309,11 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, outdir, args.method)
         return cmd_render(cfg, outdir, args.method)
-    except (FileNotFoundError,) as exc:
-        print(f"exprec: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except Exception as exc:  # noqa: BLE001
         from .config import ConfigError
         from .ktar import KtarError
 
-        if isinstance(exc, (ConfigError, DataError, KtarError)):
+        if isinstance(exc, (FileNotFoundError, ConfigError, DataError, KtarError)):
             print(f"exprec: {exc}", file=sys.stderr)
             return EXIT_DATA
         print(f"exprec: internal error: {exc}", file=sys.stderr)

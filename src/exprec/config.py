@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
@@ -96,6 +97,8 @@ def _errors(node, section="", pointer=""):
             errors += _errors(value, key, at)
         elif not _is(value, kind):
             errors.append(f"{at}: {value!r} is not of type '{_TYPE_NAMES[kind]}'")
+        elif isinstance(value, float) and not math.isfinite(value):  # json parses NaN, Infinity
+            errors.append(f"{at}: {value!r} is not finite")
         elif at in _OUT_OF_RANGE and _OUT_OF_RANGE[at][0](value):
             errors.append(f"{at}: {value!r} {_OUT_OF_RANGE[at][1]}")
     return errors

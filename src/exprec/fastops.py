@@ -15,8 +15,10 @@ the Gram gathers through it, the penalty scatters through its transpose.
   weighted penalty ``Tr(T(x)* H T(x))`` of a Hermitian weight matrix H over
   the valid linear window (full circular spatial lags, Nt temporal taps)
   into one T x T block per pixel, so in the image domain ``F^H x`` one
-  application is a batched matmul with no FFT.  ``apply_normal`` wraps it
-  in the unitary DFT for k-space callers.
+  application is a batched matmul with no FFT.  The block is built one
+  temporal row of H at a time (a (k, P, Q) buffer, never the k x k fields
+  whole), summing each entry in the whole-fields order to the bit.
+  ``apply_normal`` wraps it in the unitary DFT for k-space callers.
 
 The dense references for these kernels live in ``lifting``: the lifted
 matrix, whose product ``T T*`` is the exact-support Gram, and the
@@ -69,15 +71,6 @@ def _lags(spec):
     return ((m1[:, None] - m1[None, :]) % p) * q + (m2[:, None] - m2[None, :]) % q
 
 
-def _guard_rows(spec):
-    total = spec.n_rows("linear")
-    if total > GRAM_MAX_ROWS:
-        raise GramSizeError(
-            f"Gram would have {total} rows (> {GRAM_MAX_ROWS}); "
-            f"use a wider filter or a smaller grid"
-        )
-
-
 def assemble_gram_circulant(x, spec: FilterSpec) -> GramMatrix:
     """Circulant-approximate Gram: spatial tap sums extended to the grid.
 
@@ -93,7 +86,9 @@ def assemble_gram_circulant(x, spec: FilterSpec) -> GramMatrix:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != spec.grid.shape:
         raise ValueError(f"volume shape {x.shape} does not match grid {spec.grid.shape}")
-    _guard_rows(spec)
+    if (rows := spec.n_rows("linear")) > GRAM_MAX_ROWS:
+        raise GramSizeError(f"Gram would have {rows} rows (> {GRAM_MAX_ROWS}); "
+                            f"use a wider filter or a smaller grid")
     k = spec.k
     lags = _lags(spec)
     nr = lags.shape[0]
@@ -121,35 +116,35 @@ def build_normal_multipliers(h, spec: FilterSpec):
     ``h`` is the Hermitian (k S)^2 weight matrix, rows and columns in C
     order over (tau, m) with m the spatial window position.  Its k x k
     fields ``fields[tau,tau'][kappa] = sum_{m,m'} h[(tau,m),(tau',m')]
-    exp(-2 pi i kappa (m' - m))`` are one scatter of h, in its own order,
-    through the transposed lag table plus one batched FFT; for a filter
-    bank A (rows the filters) and ``h = A* A`` they equal the literal
-    per-filter formula ``sum_i conj(Ahat_i_tau) * Ahat_i_tau'``.  In the
-    image domain z = F^H x (F the unitary DFT) the penalty normal operator
-    is ``(N z)[r] = block[r] @ z[r]``, one Hermitian PSD T x T block per
-    pixel, ``block[r, a + s, b + s] = sum_{s < Nt} fields[a, b, r]``.
+    exp(-2 pi i kappa (m' - m))`` equal, for a filter bank A (rows the
+    filters) and ``h = A* A``, the literal per-filter formula
+    ``sum_i conj(Ahat_i_tau) * Ahat_i_tau'``.  In the image domain z = F^H x
+    (F the unitary DFT) the penalty normal operator is
+    ``(N z)[r] = block[r] @ z[r]``, one Hermitian PSD T x T block per pixel,
+    ``block[r, a + s, b + s] = sum_{s < Nt} fields[a, b, r]``.  Each row tau
+    of fields is one scatter of h's rows through the transposed lag table
+    and one FFT, added into the block and dropped; rows run from k - 1 down
+    to 0, so each entry sums its planes in the order s = 0, 1, ...
     """
     k, p, q, t = spec.k, spec.grid.p, spec.grid.q, spec.grid.t
     n = spec.n_rows("linear")
     if np.shape(h) != (n, n):
         raise ValueError(f"weight matrix must be {n} x {n}, got shape {np.shape(h)}")
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    # h[(tau, m), (tau', m')] lands in bin range tau * k + tau' of P*Q bins each, at lag
-    # m' - m; a C-order copy of the transposed lags keeps the sum C order, so ravel copies nothing
-    pair = (np.arange(k)[:, None] * k + np.arange(k)) * (p * q)
-    flat = (pair[:, None, :, None] + _lags(spec).T.copy()[None, :, None, :]).ravel()
-    fields = np.zeros((k, k, p, q), dtype=np.complex128)
-    emb = fields.reshape(-1)
-    emb.real = np.bincount(flat, weights=h.real, minlength=emb.size)
-    emb.imag = np.bincount(flat, weights=h.imag, minlength=emb.size)
-    del flat  # (k S)^2 indices: free them before the block is allocated
-    np.fft.fft2(fields, axes=(2, 3), out=fields)
+    h = np.asarray(h, dtype=np.complex128).reshape(k, -1)
+    # row tau of h, in its own (m, tau', m') order, lands in bin range tau' at lag m' - m
+    flat = (np.arange(k)[None, :, None] * (p * q) + _lags(spec).T[:, None, :]).ravel()
+    row = np.empty((k, p, q), dtype=np.complex128)
+    emb = row.reshape(-1)
     block = np.zeros(spec.grid.shape + (t,), dtype=np.complex128)
     # add through the (T, T, P, Q) view of the block: each (P, Q) plane of
-    # fields is read contiguously, and no transposed copy of fields is made
+    # the row is read contiguously, and no transposed copy is made
     planes = block.transpose(2, 3, 0, 1)
-    for s in range(spec.nt):
-        planes[s : s + k, s : s + k] += fields
+    for tau in range(k - 1, -1, -1):
+        emb.real = np.bincount(flat, weights=h[tau].real, minlength=emb.size)
+        emb.imag = np.bincount(flat, weights=h[tau].imag, minlength=emb.size)
+        np.fft.fft2(row, axes=(1, 2), out=row)
+        for s in range(spec.nt):
+            planes[tau + s, s : s + k] += row
     return block
 
 

@@ -11,6 +11,7 @@ hashes) round-trips untouched.  No padding, no checksum.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +78,7 @@ class ArrayHeader:
 
     @property
     def count(self):
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
 
 def dtype_name(dt) -> str:

@@ -120,6 +120,7 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult
     if rhs_norm == 0.0:
         return CgResult(np.zeros_like(rhs), 0, 0.0, "zero_rhs")
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.complex128, copy=True)
+    del x0  # a warm start made for this call is freed here, not held through CG
 
     def precondition(r, rs):
         """(M^-1 r, r^H M^-1 r) for rs = r^H r; M = I without ``inv_diag``."""
@@ -182,7 +183,7 @@ def _jacobi_inverse(block, lam_mask):
 
 
 def ls_update(
-    h,
+    block,
     spec: FilterSpec,
     meas,
     lam: float,
@@ -190,10 +191,10 @@ def ls_update(
     cg_iters: int = 200,
     cg_tol: float = 1e-8,
 ):
-    """Solve (N_h + lam A* A) x = lam A* b by warm-started CG.
+    """Solve (N + lam A* A) x = lam A* b by warm-started CG.
 
-    N_h is the penalty normal operator of the weight matrix ``h`` over the
-    valid linear window of ``spec`` (``fastops.build_normal_multipliers``).
+    N is the penalty normal operator of ``block``, the (P, Q, T, T) output
+    of ``fastops.build_normal_multipliers`` over the valid linear window.
 
     With one uniform coil A* A is the k-space mask M, so CG runs in k-space
     on ``apply_normal + lam M`` (one FFT pair per iteration), preconditioned
@@ -204,7 +205,6 @@ def ls_update(
     found once here).  Returns (KtVolume, CgResult) in k-space; the quadratic
     objective at the result never exceeds its value at the warm start.
     """
-    block = fastops.build_normal_multipliers(h, spec)
     mask = meas.mask
     single = simulate._uniform_single_coil(meas.maps)
 
@@ -234,15 +234,15 @@ def ls_update(
         result = cg_solve(op, rhs, x0=x0, tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag)
         return KtVolume(spec.grid, result.x), result
 
-    z0 = None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho")
-
     def op(z):
         d = _data_normal(z, lattice)
         d *= lam
         d += fastops.apply_block(block, z)
         return d
 
-    result = cg_solve(op, rhs, x0=z0, tol=cg_tol, maxiter=cg_iters)
+    # the image-domain warm start is passed inline, so cg_solve frees it once copied
+    result = cg_solve(op, rhs, tol=cg_tol, maxiter=cg_iters,
+                      x0=None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho"))
     result.x = np.fft.fft2(result.x, axes=(0, 1), norm="ortho")
     return KtVolume(spec.grid, result.x), result
 
@@ -311,11 +311,14 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
     for n in range(1, cfg.outer_iters + 1):
         tic = time.perf_counter()
         warm_obj = _smoothed_reg(eigvals, eps, cfg.p) + 0.5 * cfg.lam * data_sq
-        # the weight matrix lives only for this call, not through the next eigh
-        vol, cg = ls_update(
-            _weights_from_eig(eigvals, eigvecs, eps, cfg.p), spec, meas, cfg.lam,
-            warm_start=x, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol,
-        )
+        # eigvecs and h, (k S)^2 each, are freed before CG; the block before the next eigh
+        h = _weights_from_eig(eigvals, eigvecs, eps, cfg.p)
+        del eigvecs
+        block = fastops.build_normal_multipliers(h, spec)
+        del h
+        vol, cg = ls_update(block, spec, meas, cfg.lam, warm_start=x,
+                            cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
+        del block
         x = vol.data
         eigvals, eigvecs = _gram_eig(x, spec)
         data_sq = _data_residual_sq(x, meas, grid)

@@ -143,7 +143,7 @@ def test_criterion_3_irls_correctness():
         dense[:, j] = op(e.reshape(g.shape)).ravel()
     rhs_vec = lam * simulate.adjoint(meas.b, coils, mask, g).data
     direct = np.linalg.solve(dense, rhs_vec.ravel()).reshape(g.shape)
-    vol_cg, _ = solver.ls_update(h2, spec, meas, lam, cg_iters=4000, cg_tol=1e-13)
+    vol_cg, _ = solver.ls_update(block, spec, meas, lam, cg_iters=4000, cg_tol=1e-13)
     rel_c = np.linalg.norm(vol_cg.data - direct) / np.linalg.norm(direct)
     assert rel_c <= 1e-8
 

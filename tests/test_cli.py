@@ -208,6 +208,54 @@ class TestErrors:
             assert f"{pointer}: {value!r} is not of type 'integer'" in err, (command, err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("noise", "sigma", float("nan")),
+        ("solver", "lam", float("inf")),
+        ("ktlr", "mu_rel", float("nan")),
+        ("mask", "acceleration", float("inf")),
+        ("grid", "dt_ms", float("-inf")),
+    ], ids=["sigma_nan", "lam_inf", "mu_rel_nan", "acceleration_inf", "dt_ms_minus_inf"])
+    def test_non_finite_config_number_is_data_error(self, tmp_path, section, key, value,
+                                                    capsys):
+        # json reads NaN and Infinity, and range checks written as comparisons
+        # let them through: accepted, they surfaced as exit 0 or 70
+        bad = json.loads(json.dumps(TINY))
+        if key == "acceleration":
+            bad["mask"] = {"kind": "vd_cartesian", "acceleration": value}
+        else:
+            bad[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "o"
+        for argv in (["simulate"], ["recon", "--method", "proposed"],
+                     ["recon", "--method", "ktlr"], ["fit", "--method", "ktlr"]):
+            assert run(*argv, "--config", path, "--out", out) == 65, argv
+            err = capsys.readouterr().err
+            assert f"/{section}/{key}: {value!r} is not finite" in err, (argv, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,command", [
+        ("meas.ktar", "recon"),
+        ("coils.ktar", "recon"),
+        ("recon_zerofill.ktar", "fit"),
+    ], ids=["meas", "coils", "recon"])
+    def test_non_finite_payload_is_data_error(self, tmp_path, tiny_config, name, command,
+                                              capsys):
+        out = tmp_path / "o"
+        assert run("simulate", "--config", tiny_config, "--out", out) == 0
+        assert run("recon", "--config", tiny_config, "--out", out, "--method", "zerofill") == 0
+        header, data = ktar.read_array(out / name)
+        data = data.copy()
+        data.flat[5] = np.nan
+        ktar.write_array(out / name, data, meta=header.meta)
+        capsys.readouterr()
+        methods = ("proposed", "ktlr", "zerofill") if command == "recon" else ("zerofill",)
+        for method in methods:
+            assert run(command, "--config", tiny_config, "--out", out, "--method", method) == 65
+            err = capsys.readouterr().err
+            assert f"{name} holds a non-finite value" in err, (method, err)
+            assert "internal error" not in err
+
     @pytest.mark.parametrize("changes", [
         {"grid": {"p": 12}, "filter": {"n1": 9}},
         {"grid": {"t": 8}},

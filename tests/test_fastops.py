@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,49 @@ class TestNormalMultipliers:
         block = fastops.build_normal_multipliers(np.zeros((n, n), dtype=complex), spec)
         x = random_volume(g, 18).data
         assert np.abs(fastops.apply_normal(block, x)).max() == 0.0
+
+    @pytest.mark.parametrize("p,q,t,n1,n2,nt", [
+        (7, 6, 6, 3, 2, 3),
+        (6, 5, 8, 2, 2, 4),
+        (8, 8, 12, 5, 5, 10),
+    ], ids=["k4_nt3", "k5_nt4", "k3_nt10"])
+    def test_row_build_equals_whole_fields_to_the_bit(self, p, q, t, n1, n2, nt):
+        # the reference holds all k x k fields at once and adds plane s = 0, 1, ...
+        # into the block; the row-by-row build must sum in that order, or the
+        # recon outputs change in their last bits
+        g = Grid(p, q, t)
+        spec = FilterSpec(n1, n2, nt, g)
+        k = spec.k
+        assert k >= 3 and nt >= 3
+        h = _weight_matrix(_random_bank(spec, 7, 40 + nt))
+        pair = (np.arange(k)[:, None] * k + np.arange(k)) * (p * q)
+        flat = (pair[:, None, :, None] + fastops._lags(spec).T.copy()[None, :, None, :]).ravel()
+        fields = np.zeros((k, k, p, q), dtype=complex)
+        emb = fields.reshape(-1)
+        emb.real = np.bincount(flat, weights=h.real.ravel(), minlength=emb.size)
+        emb.imag = np.bincount(flat, weights=h.imag.ravel(), minlength=emb.size)
+        np.fft.fft2(fields, axes=(2, 3), out=fields)
+        want = np.zeros(g.shape + (t,), dtype=complex)
+        planes = want.transpose(2, 3, 0, 1)
+        for s in range(nt):
+            planes[s : s + k, s : s + k] += fields
+        assert np.array_equal(fastops.build_normal_multipliers(h, spec), want)
+
+    def test_build_peak_memory_near_the_block(self):
+        # fig5_desk's shape: 539 rows, a 9.4 MB block; one temporal row of
+        # fields (0.7 MB) is held at a time, never the whole (k, k, P, Q) array
+        g = Grid(64, 64, 12)
+        spec = FilterSpec(58, 58, 2, g)
+        n = spec.n_rows("linear")
+        rng = np.random.default_rng(41)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        tracemalloc.start()
+        try:
+            block = fastops.build_normal_multipliers(h, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block.nbytes, (peak, block.nbytes)
 
     @pytest.mark.parametrize("shape", ["square_short", "not_square", "flat"])
     def test_weight_matrix_shape_checked(self, shape):

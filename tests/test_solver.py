@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -180,6 +183,24 @@ class TestCg:
         assert np.linalg.norm(pre.x - want) <= 1e-8 * np.linalg.norm(want)
         assert pre.iters < plain.iters
 
+    def test_warm_start_freed_once_copied(self):
+        # a warm start made for the call (multi-coil CG's image-domain one)
+        # must not stay alive through the iterations
+        m, rhs = self._spd()
+        refs, alive = [], []
+
+        def warm():
+            w = 0.5 * rhs
+            refs.append(weakref.ref(w))
+            return w
+
+        def op(v):
+            alive.append(refs[0]() is not None)
+            return m @ v
+
+        res = cg_solve(op, rhs, x0=warm(), tol=1e-10, maxiter=300)
+        assert res.stop == "tol" and alive and not any(alive)
+
     def test_stop_zero_rhs(self):
         m, rhs = self._spd()
         res = cg_solve(lambda v: m @ v, np.zeros_like(rhs), x0=rhs, tol=1e-12)
@@ -192,15 +213,15 @@ class TestLsUpdate:
     def test_empty_weights_identity_operator(self):
         g = Grid(8, 8, 3)
         kt, meas, spec = make_problem(g, fraction=1.0, c=1)
-        h = np.zeros((spec.n_rows("linear"),) * 2, dtype=complex)
-        vol, _ = ls_update(h, spec, meas, lam=3.0, cg_iters=50, cg_tol=1e-12)
+        block = fastops.build_normal_multipliers(np.zeros((spec.n_rows("linear"),) * 2), spec)
+        vol, _ = ls_update(block, spec, meas, lam=3.0, cg_iters=50, cg_tol=1e-12)
         assert np.abs(vol.data - meas.b[0]).max() <= 1e-10 * np.abs(meas.b).max()
 
     def test_empty_weights_mask_operator(self):
         g = Grid(8, 8, 3)
         kt, meas, spec = make_problem(g, fraction=0.5, c=1)
-        h = np.zeros((spec.n_rows("linear"),) * 2, dtype=complex)
-        vol, _ = ls_update(h, spec, meas, lam=2.0, cg_iters=50, cg_tol=1e-12)
+        block = fastops.build_normal_multipliers(np.zeros((spec.n_rows("linear"),) * 2), spec)
+        vol, _ = ls_update(block, spec, meas, lam=2.0, cg_iters=50, cg_tol=1e-12)
         m = meas.mask
         scale = np.abs(meas.b).max()
         assert np.abs(vol.data[m] - meas.b[0][m]).max() <= 1e-10 * scale
@@ -241,7 +262,7 @@ class TestLsUpdate:
                 dense[:, j] = op(e.reshape(g.shape)).ravel()
             rhs = lam * literal_adjoint(meas.b, meas.maps, meas.mask)
             want = np.linalg.solve(dense, rhs.ravel()).reshape(g.shape)
-            vol, cg = ls_update(h, spec, meas, lam, cg_iters=3000, cg_tol=1e-13)
+            vol, cg = ls_update(block, spec, meas, lam, cg_iters=3000, cg_tol=1e-13)
             assert cg.stop == "tol"
             assert np.linalg.norm(vol.data - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -260,7 +281,7 @@ class TestLsUpdate:
                 return penalty + 0.5 * lam * float(np.vdot(resid, resid).real)
 
             warm = random_volume(g, 12)
-            vol, _ = ls_update(h, spec, meas, lam, warm_start=warm, cg_iters=40, cg_tol=1e-10)
+            vol, _ = ls_update(block, spec, meas, lam, warm_start=warm, cg_iters=40, cg_tol=1e-10)
             assert objective(vol.data) <= objective(warm) * (1 + 1e-10) + 1e-10
 
     def test_single_coil_preconditioner_cuts_iterations(self):
@@ -277,7 +298,7 @@ class TestLsUpdate:
             tol=1e-10,
             maxiter=3000,
         )
-        vol, cg = ls_update(h, spec, meas, lam, cg_iters=3000, cg_tol=1e-10)
+        vol, cg = ls_update(block, spec, meas, lam, cg_iters=3000, cg_tol=1e-10)
         assert plain.stop == "tol" and cg.stop == "tol"
         assert cg.rel_residual <= 1e-10
         assert cg.iters < plain.iters
@@ -288,16 +309,17 @@ class TestLsUpdate:
         g = Grid(8, 8, 4)
         for c in (1, 3):
             kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=6)
-            h = weight_update(kt.data, spec, p=0.6, eps=0.1)
+            block = fastops.build_normal_multipliers(
+                weight_update(kt.data, spec, p=0.6, eps=0.1), spec)
             warm = kt.data.copy()
             warm[1, 2, 3] = np.nan
             with pytest.raises(ValueError, match="warm_start"):
-                ls_update(h, spec, meas, 2.0, warm_start=warm, cg_iters=5)
+                ls_update(block, spec, meas, 2.0, warm_start=warm, cg_iters=5)
             b = meas.b.copy()
             b[c - 1][meas.mask] = np.nan
             bad = simulate.Measurements(b=b, mask=meas.mask, maps=meas.maps)
             with pytest.raises(ValueError, match="meas.b"):
-                ls_update(h, spec, bad, 2.0, warm_start=kt.data, cg_iters=5)
+                ls_update(block, spec, bad, 2.0, warm_start=kt.data, cg_iters=5)
 
 
 class TestGradient:
@@ -374,8 +396,9 @@ class TestIrls:
         lam_max = np.linalg.eigvalsh(
             fastops.assemble_gram_circulant(kt.data, spec).matrix
         )[-1]
-        h = weight_update(kt.data, spec, p=0.6, eps=1e-9 * lam_max)
-        vol, _ = ls_update(h, spec, meas, lam=1e6, cg_iters=3000, cg_tol=1e-13)
+        block = fastops.build_normal_multipliers(
+            weight_update(kt.data, spec, p=0.6, eps=1e-9 * lam_max), spec)
+        vol, _ = ls_update(block, spec, meas, lam=1e6, cg_iters=3000, cg_tol=1e-13)
         err = np.linalg.norm(vol.data - kt.data) / np.linalg.norm(kt.data)
         assert err <= 1e-3
 
@@ -388,6 +411,35 @@ class TestIrls:
         vol, _ = irls_solve(meas, spec, cfg)
         err = np.linalg.norm(vol.data - kt.data) / np.linalg.norm(kt.data)
         assert err < 0.25 * err_zf
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_eigenvectors_and_weights_freed_before_cg(self, c):
+        # a 320-row Gram: its eigenvectors and the weight matrix are 1.6 MB
+        # each, against 0.15 MB for the penalty block and 25 kB per volume.
+        # At CG's entry only the block and a few volumes may be live.
+        g = Grid(16, 16, 6)
+        kt, meas, spec = make_problem(g, n1=9, n2=9, nt=2, c=c, seed=3,
+                                      acceleration=None if c == 1 else 4.0)
+        n = spec.n_rows("linear")
+        assert n >= 300
+        live = []
+        cg = solver.cg_solve
+
+        def spy(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return cg(*args, **kwargs)
+
+        cfg = SolverConfig(p=0.6, lam=10.0, outer_iters=1, cg_iters=5, cg_tol=1e-8)
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "cg_solve", spy)
+                irls_solve(meas, spec, cfg)
+        finally:
+            tracemalloc.stop()
+        block_bytes = g.p * g.q * g.t * g.t * 16
+        assert len(live) == 1
+        assert live[0] - block_bytes < 0.5 * n * n * 16, (live, block_bytes, n)
 
     def test_report_csv_schema(self, tmp_path):
         g = Grid(8, 8, 4)
