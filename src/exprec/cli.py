@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import Counter
@@ -287,6 +288,8 @@ def cmd_render(cfg, outdir, method):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if "numpy" not in sys.modules:  # OpenBLAS reads these once, as numpy loads
+        os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     try:
         if args.command == "presets":
             from .config import available_presets

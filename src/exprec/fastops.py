@@ -20,12 +20,12 @@ the Gram gathers through it, the penalty scatters through its transpose.
   whole), summing each entry in the whole-fields order to the bit.
   ``apply_normal`` wraps it in the unitary DFT for k-space callers.
 
-The dense references for these kernels live in ``lifting``: the lifted
-matrix, whose product ``T T*`` is the exact-support Gram, and the
-filter-bank penalty ``lifted_penalty``, whose bank ``A`` gives the weight
-matrix ``H = A* A``.  The circulant Gram equals the exact one when the
-spatial support covers the whole grid; their relative gap is the modeling
-error of the hybrid scheme and is reported (not bounded) by the test suite.
+The dense references live in ``lifting``: the lifted matrix ``T`` and the
+filter-bank penalty ``lifted_penalty``, whose bank ``A`` gives ``H = A* A``.
+The exact-support Gram is ``T T*`` of the centred (``fftshift``) spectrum;
+the circulant Gram equals it at full spatial support, and the tests bound
+their gap, the hybrid modeling error: 1% at 16x16 and 0.4% at 32x32 on
+smoothed phantoms (the zero-corner layout gives another matrix).
 """
 
 from __future__ import annotations

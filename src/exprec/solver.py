@@ -12,8 +12,8 @@ to the same spatially circularized lifting over it (circular along space,
 linear along time).  That makes the reported smoothed objective provably
 non-increasing at fixed eps: the weight step majorizes it, the CG step
 never increases the majorizer from its warm start.  The exact-support
-Gram is the dense product ``T T*`` of ``lifting.build_lifted``, for tests
-and diagnostics only.
+Gram, for tests only, is ``T T*`` of ``lifting.build_lifted`` on the
+centred (``fftshift``) spectrum, within about 1% of the circulant one.
 """
 
 from __future__ import annotations

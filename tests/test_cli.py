@@ -1,10 +1,15 @@
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exprec
 from exprec import ktar
 from exprec.cli import main
 
@@ -124,6 +129,29 @@ class TestPipeline:
                     "renders/zerofill_t2.pgm"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
+    def test_recon_byte_identical_across_blas_threads(self, tmp_path):
+        # a 252-row Gram, which OpenBLAS decomposes differently at 1 and 2
+        # threads; the CLI pins one thread before numpy loads
+        doc = json.loads(json.dumps(TINY))
+        doc["grid"].update(p=32, q=32, t=8)
+        doc["coils"]["count"] = 2
+        doc["filter"].update(n1=27, n2=27, nt=2)
+        doc["solver"]["outer_iters"] = 3
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        assert run("simulate", "--config", config, "--out", tmp_path) == 0
+        src = str(Path(exprec.__file__).parent.parent)
+        hashes = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+            argv = [sys.executable, "-m", "exprec.cli", "recon", "--config", str(config),
+                    "--out", str(tmp_path)]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert proc.returncode == 2, proc.stderr
+            hashes.append(hashlib.sha256((tmp_path / "recon_proposed.ktar").read_bytes()).digest())
+        assert hashes[0] == hashes[1]
+
     def test_seed_changes_outputs(self, tmp_path, tiny_config):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert run("simulate", "--config", tiny_config, "--out", out1) == 0
@@ -150,8 +178,7 @@ class TestErrors:
         assert info.value.code == 64
 
     def test_threads_flag_is_usage_error(self, tmp_path, tiny_config):
-        # numpy loads BLAS before arguments are parsed, so threads are set by
-        # OMP_NUM_THREADS / OPENBLAS_NUM_THREADS at launch, never by a flag
+        # the CLI pins BLAS to one thread before numpy loads; no flag sets it
         with pytest.raises(SystemExit) as info:
             run("recon", "--config", tiny_config, "--out", tmp_path, "--threads", "1")
         assert info.value.code == 64

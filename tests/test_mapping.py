@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprec.core import Grid, ImageSeries, dft2_forward
+from exprec.core import Grid, ImageSeries, KtVolume, dft2_forward
 from exprec import mapping, simulate
 from exprec.mapping import fit_t2, nrmse, recon_ktlowrank, recon_zerofill, snr_db
 
@@ -173,20 +173,61 @@ class TestKtLowRank:
 
     @pytest.mark.parametrize("iters", [1, 6])
     def test_one_forward_per_sweep(self, monkeypatch, iters):
-        # the residual that scores sweep n is the gradient residual of sweep n + 1
+        # the residual that scores sweep n is the gradient residual of sweep n + 1;
+        # several coils apply the data term through the lattice operator
         g = Grid(8, 8, 4)
         _, _, meas = make_measurements(g, fraction=0.5, c=2, seed=3)
         calls = []
-        real_forward = simulate.forward
+        real_forward = simulate._coil_forward
 
         def counting_forward(*args, **kwargs):
             calls.append(1)
             return real_forward(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "forward", counting_forward)
+        monkeypatch.setattr(simulate, "_coil_forward", counting_forward)
         res = recon_ktlowrank(meas, mu=0.05, iters=iters)
         assert len(calls) == iters + 1
         assert len(res.objective_trace) == iters
+
+    @staticmethod
+    def reference_ktlr(meas, mu, iters):
+        """ISTA in k-space through the public forward/adjoint pair."""
+        p, q, t = meas.b.shape[1:]
+        grid = Grid(p, q, t)
+        x = np.zeros((p, q, t), dtype=np.complex128)
+        trace = []
+        resid = simulate.forward(KtVolume(grid, x), meas.maps, meas.mask) - meas.b
+        for _ in range(iters):
+            grad = simulate.adjoint(resid, meas.maps, meas.mask, grid).data
+            u, sv, vh = np.linalg.svd((x - grad).reshape(p * q, t), full_matrices=False)
+            sv = np.maximum(sv - mu, 0.0)
+            x = ((u * sv) @ vh).reshape(p, q, t)
+            resid = simulate.forward(KtVolume(grid, x), meas.maps, meas.mask) - meas.b
+            trace.append(0.5 * float(np.vdot(resid, resid).real) + mu * float(sv.sum()))
+        return x, trace
+
+    def test_single_coil_matches_kspace_reference_bitwise(self):
+        g = Grid(12, 12, 5)
+        _, _, meas = make_measurements(g, fraction=0.4, sigma=0.02, seed=5)
+        x, trace = self.reference_ktlr(meas, 0.05, 25)
+        res = recon_ktlowrank(meas, mu=0.05, iters=25)
+        assert np.array_equal(res.volume.data, x)
+        assert np.array_equal(res.objective_trace, trace)
+
+    def test_multi_coil_matches_kspace_reference(self):
+        # 3 coils on the 2x2 lattice of vd_cartesian: ISTA on z = F^H x
+        g = Grid(16, 16, 6)
+        ph = simulate.make_phantom(simulate.PhantomSpec(g, bandwidth=2), seed=4)
+        maps = simulate.make_coils(g, 3, seed=5)
+        mask = simulate.make_mask(g, "vd_cartesian", 5.0, seed=6, center_block=4)
+        meas = simulate.simulate_measurements(dft2_forward(ph.series), maps, mask,
+                                              sigma=0.01, seed=7)
+        mu = 0.02 * float(np.linalg.svd(recon_zerofill(meas).data.reshape(-1, g.t),
+                                        compute_uv=False)[0])
+        x, trace = self.reference_ktlr(meas, mu, 30)
+        res = recon_ktlowrank(meas, mu=mu, iters=30)
+        assert np.linalg.norm(res.volume.data - x) <= 1e-12 * np.linalg.norm(x)
+        assert np.allclose(res.objective_trace, trace, rtol=1e-12, atol=0)
 
     def test_invalid_args(self):
         g = Grid(8, 8, 3)
