@@ -11,6 +11,9 @@ the Gram gathers through it, the penalty scatters through its transpose.
   then one inverse FFT of a cross-power spectrum summed over Nt frames,
   gathered at the lags.  This is the Gram of the spatially circularized
   lifting that also underlies the collapsed penalty below;
+* ``eigh_overwrite``: the Gram's eigensolver, MRRR (LAPACK ``zheevr``)
+  called through ctypes from the OpenBLAS numpy already loaded, in place on
+  the Gram and with O(n) workspace; ``np.linalg.eigh`` where there is none;
 * ``build_normal_multipliers`` / ``apply_block``: exact collapse of the
   weighted penalty ``Tr(T(x)* H T(x))`` of a Hermitian weight matrix H over
   the valid linear window (full circular spatial lags, Nt temporal taps)
@@ -30,6 +33,8 @@ smoothed phantoms (the zero-corner layout gives another matrix).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +45,7 @@ __all__ = [
     "GramMatrix",
     "GramSizeError",
     "assemble_gram_circulant",
+    "eigh_overwrite",
     "build_normal_multipliers",
     "apply_block",
     "apply_normal",
@@ -104,6 +110,51 @@ def assemble_gram_circulant(x, spec: FilterSpec) -> GramMatrix:
             out[tau * nr : (tau + 1) * nr, tau2 * nr : (tau2 + 1) * nr] = blk
             out[tau2 * nr : (tau2 + 1) * nr, tau * nr : (tau + 1) * nr] = blk.conj().T
     return GramMatrix(out)
+
+
+@functools.cache
+def _zheevr():
+    """LAPACKE ``zheevr`` (ILP64) of the OpenBLAS numpy's linalg loaded, or None.
+
+    Looked up through the handle of numpy's own linalg extension, so the
+    library is the one already in the process and nothing new is imported.
+    """
+    fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_LAPACKE_zheevr64_", None)
+    if fn is not None:
+        i64, f64, ch, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_char, ctypes.c_void_p
+        fn.restype = i64
+        fn.argtypes = [ctypes.c_int, ch, ch, ch, i64, ptr, i64, f64, f64, i64, i64, f64,
+                       ctypes.POINTER(i64), ptr, ptr, i64, ptr]
+    return fn
+
+
+def eigh_overwrite(a, vectors=True):
+    """(ascending eigenvalues, eigenvectors as columns or None) of the
+    C-contiguous Hermitian matrix ``a``, which it may overwrite.
+
+    LAPACK's ``zheevr`` (MRRR) reads the C-order buffer as the column-major
+    conj(a), so no copy is made and its eigenvectors come back conjugated.
+    Raises ``LinAlgError`` when LAPACK fails, and on a non-finite ``a``
+    (LAPACKE's NaN check).  Without the binding, ``np.linalg.eigh``.
+    """
+    fn = _zheevr()
+    if fn is None:  # numpy built against another LAPACK
+        return np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    n = a.shape[0]
+    if not (a.flags.c_contiguous and a.dtype == np.complex128 and a.shape == (n, n)):
+        raise ValueError(f"need a square C-contiguous complex128 array, got {a.dtype} {a.shape}")
+    w = np.empty(n)
+    z = np.empty((n, n) if vectors else (1, 1), dtype=np.complex128, order="F")
+    m = ctypes.c_int64()
+    isuppz = np.empty(2 * n, dtype=np.int64)
+    # 102: column-major
+    info = fn(102, b"V" if vectors else b"N", b"A", b"L", n, a.ctypes.data, n,
+              0.0, 0.0, 0, 0, 0.0, ctypes.byref(m), w.ctypes.data, z.ctypes.data,
+              z.shape[0], isuppz.ctypes.data)
+    if info != 0 or m.value != n:
+        why = " (a non-finite entry)" if info == -6 else ""
+        raise np.linalg.LinAlgError(f"zheevr returned info {info}{why}, {m.value} of {n} eigenpairs")
+    return w, np.conjugate(z, out=z) if vectors else None
 
 
 # ---------------------------------------------------------------------------

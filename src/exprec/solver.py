@@ -4,7 +4,9 @@ Alternates a weight update (eigendecomposition of the valid-shift Gram
 ``U Lambda U*``, weight matrix ``H = U (Lambda + eps I)^(p/2 - 1) U*``) with
 a weighted least-squares update solved matrix-free by conjugate gradients
 on the normal equations; ``ls_update`` says how CG runs for one coil and
-for several.
+for several.  The Gram is eigendecomposed by MRRR (LAPACK ``zheevr``, bound
+from numpy's own OpenBLAS by ``fastops.eigh_overwrite``; ``np.linalg.eigh``
+only where numpy has no such LAPACK), eigenvalues alone after the last step.
 
 The weights live on one valid-shift set, the valid linear window.  The
 weight Gram, the smoothed objective and the quadratic penalty all refer
@@ -84,20 +86,23 @@ def _weights_from_eig(eigvals, eigvecs, eps, p):
     return a @ a.conj().T
 
 
-def _gram_eig(rho_hat, spec):
-    r = fastops.assemble_gram_circulant(rho_hat, spec)
+def _gram_eig(rho_hat, spec, step=None, vectors=True):
+    """(eigenvalues, eigenvectors or None) of the circulant Gram of ``rho_hat``,
+    assembled for the call and handed to the eigensolver to overwrite.
+    ``step`` is the outer step named in the error (0: the zero-filled start)."""
     try:
-        return np.linalg.eigh(r.matrix)
+        return fastops.eigh_overwrite(fastops.assemble_gram_circulant(rho_hat, spec).matrix,
+                                      vectors)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigendecomposition of the Gram failed: {exc}") from exc
+        at = "" if step is None else f" at outer step {step}"
+        raise SolverError(f"eigendecomposition of the Gram failed{at}: {exc}") from exc
 
 
 def weight_update(rho_hat, spec: FilterSpec, p: float, eps: float):
     """Eigendecompose the circulant Gram and return the weight matrix H."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    eigvals, eigvecs = _gram_eig(rho_hat, spec)
-    return _weights_from_eig(eigvals, eigvecs, eps, p)
+    return _weights_from_eig(*_gram_eig(rho_hat, spec), eps, p)
 
 
 @dataclass
@@ -130,6 +135,7 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult
         return z, float(np.vdot(r, z).real)
 
     r = rhs - op(x)
+    del rhs  # a right-hand side made for this call is freed here, not held through CG
     rs = float(np.vdot(r, r).real)
     z, rz = precondition(r, rs)
     pdir = z.copy()
@@ -182,6 +188,21 @@ def _jacobi_inverse(block, lam_mask):
     return inv
 
 
+def _rhs(meas, lam, lattice):
+    """lam A* meas.b, checked finite: in k-space for one uniform coil (``lattice``
+    None), else in the image domain at the lattice.  Callers pass it inline to
+    ``cg_solve``, which frees it after the first residual."""
+    if lattice is None:
+        rhs = lam * (meas.b[0] * meas.mask)
+    else:
+        (dx, dy), _, _ = lattice
+        # a copy for the adjoint to overwrite and free
+        rhs = lam * simulate._image_adjoint(np.moveaxis(meas.b[:, ::dx, ::dy], 0, 2).copy(),
+                                            lattice)
+    require_finite("ls_update right-hand side lam * A* meas.b", rhs)
+    return rhs
+
+
 def ls_update(
     block,
     spec: FilterSpec,
@@ -207,16 +228,7 @@ def ls_update(
     """
     mask = meas.mask
     single = simulate._uniform_single_coil(meas.maps)
-
-    if single:
-        rhs = lam * (meas.b[0] * mask)
-    else:
-        lattice = simulate._lattice(mask, meas.maps)
-        (dx, dy), _, _ = lattice
-        # a copy for the adjoint to overwrite and free; a local would hold it through CG
-        rhs = lam * simulate._image_adjoint(np.moveaxis(meas.b[:, ::dx, ::dy], 0, 2).copy(),
-                                            lattice)
-    require_finite("ls_update right-hand side lam * A* meas.b", rhs)
+    lattice = None if single else simulate._lattice(mask, meas.maps)
     x0 = None
     if warm_start is not None:
         x0 = np.asarray(warm_start, dtype=np.complex128)
@@ -231,7 +243,8 @@ def ls_update(
             return d
 
         inv_diag = _jacobi_inverse(block, lam_mask)
-        result = cg_solve(op, rhs, x0=x0, tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag)
+        result = cg_solve(op, _rhs(meas, lam, lattice), x0=x0, tol=cg_tol, maxiter=cg_iters,
+                          inv_diag=inv_diag)
         return KtVolume(spec.grid, result.x), result
 
     def op(z):
@@ -241,7 +254,7 @@ def ls_update(
         return d
 
     # the image-domain warm start is passed inline, so cg_solve frees it once copied
-    result = cg_solve(op, rhs, tol=cg_tol, maxiter=cg_iters,
+    result = cg_solve(op, _rhs(meas, lam, lattice), tol=cg_tol, maxiter=cg_iters,
                       x0=None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho"))
     result.x = np.fft.fft2(result.x, axes=(0, 1), norm="ortho")
     return KtVolume(spec.grid, result.x), result
@@ -298,7 +311,7 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
     if meas.b.shape[1:] != grid.shape:
         raise ValueError(f"measurements shape {meas.b.shape} does not match grid {grid.shape}")
     x = simulate.adjoint(meas.b, meas.maps, meas.mask, grid).data
-    eigvals, eigvecs = _gram_eig(x, spec)
+    eigvals, eigvecs = _gram_eig(x, spec, 0)
     lam_max0 = max(float(eigvals[-1]), 0.0)
     eps = lam_max0 / 100.0
     if eps <= 0:
@@ -320,7 +333,8 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
                             cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
         del block
         x = vol.data
-        eigvals, eigvecs = _gram_eig(x, spec)
+        # the last step's Gram feeds only the objective: eigenvalues alone
+        eigvals, eigvecs = _gram_eig(x, spec, n, vectors=n < cfg.outer_iters)
         data_sq = _data_residual_sq(x, meas, grid)
         reg = _smoothed_reg(eigvals, eps, cfg.p)
         data_term = 0.5 * cfg.lam * data_sq

@@ -7,6 +7,7 @@ import pytest
 from exprec import fastops, simulate
 from exprec.core import Grid, ImageSeries, KtVolume, dft2_forward
 from exprec.lifting import FilterSpec, build_lifted, lifted_penalty
+from exprec.solver import SolverConfig, _weights_from_eig, irls_solve
 
 
 def random_volume(grid, seed=0):
@@ -298,6 +299,85 @@ class TestNormalMultipliers:
         }[shape]
         with pytest.raises(ValueError, match=f"weight matrix must be {n} x {n}"):
             fastops.build_normal_multipliers(h, spec)
+
+
+class TestEighOverwrite:
+    @pytest.fixture(scope="class")
+    def grams(self):
+        """A 539-row Gram of fig5_desk's shape (64x64x12, 58x58x2 filter) on a
+        smoothed phantom, and an 18-row one on a random volume."""
+        g = Grid(64, 64, 12)
+        ph = simulate.make_phantom(simulate.PhantomSpec(g, kind="regions_smoothed"), seed=5)
+        fig5 = fastops.assemble_gram_circulant(dft2_forward(ph.series).data,
+                                               FilterSpec(58, 58, 2, g))
+        g = Grid(4, 4, 3)
+        tiny = fastops.assemble_gram_circulant(random_volume(g, 7).data, FilterSpec(2, 2, 2, g))
+        return [fig5.matrix, tiny.matrix]
+
+    def test_eigenpairs(self, grams):
+        for r in grams:
+            n = r.shape[0]
+            w, u = fastops.eigh_overwrite(r.copy())
+            ref = np.linalg.eigvalsh(r)
+            assert np.all(np.diff(w) >= 0)
+            assert np.abs(w - ref).max() <= 1e-13 * ref[-1]
+            assert np.linalg.norm(r @ u - u * w) <= 1e-13 * np.linalg.norm(r)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
+            w_only, none = fastops.eigh_overwrite(r.copy(), vectors=False)
+            assert none is None
+            assert np.abs(w_only - ref).max() <= 1e-13 * ref[-1]
+
+    def test_fallback_gives_the_same_weights(self, grams, monkeypatch):
+        ref = [_weights_from_eig(*fastops.eigh_overwrite(r.copy()), 1e-3 * np.abs(r).max(), 0.6)
+               for r in grams]
+        monkeypatch.setattr(fastops, "_zheevr", lambda: None)
+        for r, h_ref in zip(grams, ref):
+            h = _weights_from_eig(*fastops.eigh_overwrite(r.copy()), 1e-3 * np.abs(r).max(), 0.6)
+            assert np.abs(h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+            w, none = fastops.eigh_overwrite(r.copy(), vectors=False)
+            assert none is None and np.array_equal(w, np.linalg.eigvalsh(r))
+
+    def test_fallback_runs_irls(self, monkeypatch):
+        g = Grid(8, 8, 4)
+        ph = simulate.make_phantom(simulate.PhantomSpec(g, kind="regions_smoothed"), seed=1)
+        mask = simulate.make_mask(g, "uniform_random", 0.5, seed=2)
+        meas = simulate.simulate_measurements(dft2_forward(ph.series),
+                                              simulate.make_coils(g, 1, seed=3), mask)
+        spec, cfg = FilterSpec(5, 5, 2, g), SolverConfig(outer_iters=3, cg_iters=50)
+        vol, report = irls_solve(meas, spec, cfg)
+        monkeypatch.setattr(fastops, "_zheevr", lambda: None)
+        vol_fb, report_fb = irls_solve(meas, spec, cfg)
+        assert np.abs(vol_fb.data - vol.data).max() <= 1e-9 * np.abs(vol.data).max()
+        for a, b in zip(report.records, report_fb.records):
+            assert abs(a.objective - b.objective) <= 1e-10 * abs(a.objective)
+
+    def test_binding_resolves_on_scipy_openblas(self):
+        # numpy's bundled OpenBLAS carries LAPACKE; the fallback must not run silently
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        if lapack == "scipy-openblas":
+            assert fastops._zheevr() is not None
+
+    def test_no_copy_of_the_gram(self, grams):
+        # LAPACK works in the Gram's own buffer: the eigenvectors are the
+        # only (kS)^2 array allocated
+        if fastops._zheevr() is None:
+            pytest.skip("no LAPACKE zheevr in numpy's LAPACK")
+        r = grams[0].copy()
+        tracemalloc.start()
+        try:
+            fastops.eigh_overwrite(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * r.nbytes
+
+    def test_rejects_a_layout_it_would_misread(self, grams):
+        if fastops._zheevr() is None:
+            pytest.skip("no LAPACKE zheevr in numpy's LAPACK")
+        r = grams[1]
+        for bad in (np.asfortranarray(r), r[:, :-1], r.astype(np.complex64)):
+            with pytest.raises(ValueError, match="C-contiguous complex128"):
+                fastops.eigh_overwrite(bad)
 
 
 @pytest.mark.slow

@@ -73,6 +73,29 @@ def test_config_load_imports_no_jsonschema(tmp_path):
     assert (tmp_path / "mask.ktar").exists()
 
 
+def test_recon_imports_no_scipy(tmp_path):
+    # the Gram's eigensolver is bound from numpy's own LAPACK; importing
+    # scipy for it would add more memory than a recon's working set
+    from test_cli import TINY
+
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({**TINY, "solver": {**TINY["solver"], "outer_iters": 2}}))
+    code = (
+        "import sys\n"
+        "import exprec.cli\n"
+        "argv = ['--config', sys.argv[1], '--out', sys.argv[2]]\n"
+        "assert exprec.cli.main(['simulate'] + argv) == 0\n"
+        "assert exprec.cli.main(['recon', '--method', 'proposed'] + argv) == 2\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = str(Path(exprec.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", code, str(path), str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "recon_proposed.ktar").exists()
+
+
 def test_benchmark_trace_targets_resolve():
     # the benchmark's layer tracer finds its spans by module and attribute
     # name, so a rename under src/ would leave a span silently absent

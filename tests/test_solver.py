@@ -201,6 +201,25 @@ class TestCg:
         res = cg_solve(op, rhs, x0=warm(), tol=1e-10, maxiter=300)
         assert res.stop == "tol" and alive and not any(alive)
 
+    def test_rhs_freed_after_first_residual(self):
+        # a right-hand side made for the call is read for its norm and the
+        # first residual only, and must not stay alive through the iterations
+        m, rhs = self._spd()
+        refs, alive = [], []
+
+        def made():
+            b = rhs.copy()
+            refs.append(weakref.ref(b))
+            return b
+
+        def op(v):
+            alive.append(refs[0]() is not None)
+            return m @ v
+
+        res = cg_solve(op, made(), tol=1e-10, maxiter=300)
+        assert res.stop == "tol" and len(alive) > 1
+        assert alive[0] and not any(alive[1:])
+
     def test_stop_zero_rhs(self):
         m, rhs = self._spd()
         res = cg_solve(lambda v: m @ v, np.zeros_like(rhs), x0=rhs, tol=1e-12)
@@ -303,6 +322,33 @@ class TestLsUpdate:
         assert cg.rel_residual <= 1e-10
         assert cg.iters < plain.iters
         assert np.linalg.norm(vol.data - plain.x) <= 1e-8 * np.linalg.norm(plain.x)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_rhs_not_held_through_cg(self, c):
+        # neither ls_update nor cg_solve keeps lam A* b once CG has its first residual
+        g = Grid(8, 8, 4)
+        kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=4,
+                                      acceleration=None if c == 1 else 4.0)
+        block = fastops.build_normal_multipliers(
+            weight_update(kt.data, spec, p=0.6, eps=0.1), spec)
+        make_rhs, apply_block = solver._rhs, fastops.apply_block
+        refs, alive = [], []
+
+        def made(*args):
+            b = make_rhs(*args)
+            refs.append(weakref.ref(b))
+            return b
+
+        def watched(block, z):  # the penalty term of every CG operator call
+            alive.append(refs[0]() is not None)
+            return apply_block(block, z)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_rhs", made)
+            mp.setattr(fastops, "apply_block", watched)
+            _, res = ls_update(block, spec, meas, 2.0, warm_start=kt.data, cg_iters=20)
+        assert res.iters > 0 and len(alive) == res.iters + 1
+        assert alive[0] and not any(alive[1:])
 
     def test_non_finite_inputs_named(self):
         # one uniform coil (k-space CG) and C = 3 coils (image-domain CG)
@@ -440,6 +486,45 @@ class TestIrls:
         block_bytes = g.p * g.q * g.t * g.t * 16
         assert len(live) == 1
         assert live[0] - block_bytes < 0.5 * n * n * 16, (live, block_bytes, n)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_last_step_takes_eigenvalues_only(self, c):
+        # the Gram after the last CG feeds only the objective, so no
+        # eigenvectors are computed there; the record matches a run that has them
+        g = Grid(8, 8, 4)
+        _, meas, spec = make_problem(g, fraction=0.5, c=c, seed=2, kind="regions_smoothed",
+                                     acceleration=None if c == 1 else 4.0)
+        cfg = SolverConfig(p=0.6, lam=10.0, outer_iters=3, cg_iters=100, cg_tol=1e-10)
+        eig = fastops.eigh_overwrite
+        asked = []
+
+        def spy(a, vectors=True):
+            asked.append(vectors)
+            return eig(a, vectors)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fastops, "eigh_overwrite", spy)
+            _, report = irls_solve(meas, spec, cfg)
+            mp.setattr(fastops, "eigh_overwrite", lambda a, vectors=True: eig(a))
+            _, full = irls_solve(meas, spec, cfg)
+        assert asked == [True] * cfg.outer_iters + [False]
+        last, ref = report.records[-1], full.records[-1]
+        for name in ("objective", "reg_term"):
+            got, want = getattr(last, name), getattr(ref, name)
+            assert abs(got - want) <= 1e-12 * abs(want), name
+
+    @pytest.mark.skipif(fastops._zheevr() is None, reason="no LAPACKE zheevr in numpy's LAPACK")
+    def test_non_finite_gram_fails_at_once(self):
+        # LAPACKE rejects a NaN Gram before decomposing it; np.linalg.eigh
+        # returned NaNs and the failure surfaced later, in the objective
+        g = Grid(8, 8, 4)
+        x = random_volume(g, 21)
+        x[3, 4, 1] = np.nan
+        spec = FilterSpec(5, 5, 2, g)
+        with pytest.raises(SolverError, match="Gram failed: .*non-finite"):
+            weight_update(x, spec, p=0.6, eps=0.1)
+        with pytest.raises(SolverError, match="Gram failed at outer step 4: .*non-finite"):
+            solver._gram_eig(x, spec, 4)
 
     def test_report_csv_schema(self, tmp_path):
         g = Grid(8, 8, 4)
