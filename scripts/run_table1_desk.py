@@ -9,7 +9,7 @@ from pathlib import Path
 from exprec import ktar, mapping
 from exprec.cli import main
 from exprec.config import load_preset
-from exprec.core import Grid, KtVolume, dft2_inverse
+from exprec.core import dft2_inverse
 
 OUT = Path("out/table1_desk")
 TEMPORAL_LENGTHS = (1, 2, 4, 7)
@@ -35,8 +35,7 @@ if __name__ == "__main__":
         run("recon", "--config", cfg_path, "--out", out, "--method", "proposed")
         _, phantom = ktar.read_array(out / "phantom.ktar")
         _, recon = ktar.read_array(out / "recon_proposed.ktar")
-        grid = Grid(*phantom.shape)
-        snr = mapping.snr_db(phantom, dft2_inverse(KtVolume(grid, recon)).data)
+        snr = mapping.snr_db(phantom, dft2_inverse(recon))
         results.append((nt, snr))
         print(f"filter 58x58x{nt}: {snr:.2f} dB")
     print("\ntemporal filter length vs SNR (dB):")

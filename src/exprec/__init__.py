@@ -14,7 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": ["Grid", "ImageSeries", "KtVolume", "dft2_forward", "dft2_inverse"],
+    "core": ["Grid", "dft2_forward", "dft2_inverse"],
     "lifting": ["FilterSpec", "AnnihilationCertificate", "build_lifted",
                 "apply_lifted_adjoint", "annihilation_certificate"],
     "solver": ["SolverConfig", "SolveReport", "irls_solve"],

@@ -69,9 +69,22 @@ def _seeds(cfg):
     return {name: (cfg.seed + i) % 2**64 for i, name in enumerate(names)}
 
 
+def _require_finite(path, data):
+    """DataError naming ``path`` unless every value of ``data`` is finite."""
+    from .core import require_finite
+
+    try:
+        require_finite(str(path), data)
+    except ValueError:
+        raise DataError(f"{path} holds a non-finite value") from None
+
+
 def _write(outdir, name, data, cfg):
+    """Write one pipeline array stamped with ``cfg.config_hash``; a non-finite
+    array is refused before its file is made."""
     from . import ktar
 
+    _require_finite(outdir / name, data)
     outdir.mkdir(parents=True, exist_ok=True)
     ktar.write_array(outdir / name, data, meta={"config_hash": cfg.config_hash})
 
@@ -79,8 +92,6 @@ def _write(outdir, name, data, cfg):
 def _read(outdir, name, shape, cfg):
     """One pipeline array, which must fit ``shape`` (None on an axis of any
     length), be stamped with ``cfg.config_hash`` and hold only finite values."""
-    import numpy as np
-
     from . import ktar
 
     path = outdir / name
@@ -95,8 +106,7 @@ def _read(outdir, name, shape, cfg):
             f"{path} was written under config hash {stamp}, "
             f"but this run's config hash is {cfg.config_hash}"
         )
-    if not np.isfinite(data).all():
-        raise DataError(f"{path} holds a non-finite value")
+    _require_finite(path, data)
     return data
 
 
@@ -119,7 +129,7 @@ def _make_mask(cfg):
 
 
 def _write_phantom(cfg, outdir, ph):
-    _write(outdir, "phantom.ktar", ph.series.data, cfg)
+    _write(outdir, "phantom.ktar", ph.series, cfg)
     _write(outdir, "truth_t2.ktar", ph.t2_maps, cfg)
     _write(outdir, "truth_amp.ktar", ph.amp_maps, cfg)
 
@@ -161,7 +171,7 @@ def _load_measurements(cfg, outdir):
     b = _read(outdir, "meas.ktar", (None, p, q, t), cfg)
     maps = _read(outdir, "coils.ktar", (len(b), p, q), cfg).astype(np.complex128)
     mask = _read(outdir, "mask.ktar", (p, q, t), cfg) > 0.5
-    return Measurements(b=b.astype(np.complex128), mask=mask, maps=maps)
+    return Measurements(b=b, mask=mask, maps=maps)
 
 
 def cmd_recon(cfg, outdir, method):
@@ -180,7 +190,7 @@ def cmd_recon(cfg, outdir, method):
         kcfg = cfg.doc["ktlr"]
         zf = recon_zerofill(meas)
         p, q, t = cfg.grid.shape
-        smax = float(np.linalg.svd(zf.data.reshape(p * q, t), compute_uv=False)[0])
+        smax = float(np.linalg.svd(zf.reshape(p * q, t), compute_uv=False)[0])
         result = recon_ktlowrank(meas, mu=kcfg["mu_rel"] * smax, iters=kcfg["iters"])
         vol = result.volume
         trace = result.objective_trace
@@ -197,7 +207,7 @@ def cmd_recon(cfg, outdir, method):
         _warn_cg_stops(report.records)
         if not report.converged:
             status = EXIT_NOT_CONVERGED
-    _write(outdir, f"recon_{method}.ktar", vol.data, cfg)
+    _write(outdir, f"recon_{method}.ktar", vol, cfg)
     return status
 
 
@@ -221,12 +231,11 @@ def _support_from_truth(cfg, outdir):
 
 
 def cmd_fit(cfg, outdir, method):
-    from .core import KtVolume, dft2_inverse
+    from .core import dft2_inverse
     from .mapping import fit_t2
 
     recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
-    series = dft2_inverse(KtVolume(cfg.grid, recon))
-    t2map = fit_t2(series, cfg.echo_times, support=_support_from_truth(cfg, outdir))
+    t2map = fit_t2(dft2_inverse(recon), cfg.echo_times, support=_support_from_truth(cfg, outdir))
     _write(outdir, f"t2_{method}.ktar", t2map.t2, cfg)
     return EXIT_OK
 
@@ -234,7 +243,7 @@ def cmd_fit(cfg, outdir, method):
 def cmd_eval(cfg, outdir, method):
     import numpy as np
 
-    from .core import ImageSeries, dft2_forward
+    from .core import dft2_forward
     from .mapping import nrmse, snr_db
 
     t0 = time.perf_counter()
@@ -244,7 +253,7 @@ def cmd_eval(cfg, outdir, method):
     # compare in k-t space; the per-frame DFT is unitary so SNR and NRMSE
     # match the image-domain values, and the noiseless identity pipeline
     # stays exact to the bit
-    truth_kt = dft2_forward(ImageSeries(cfg.grid, truth_series)).data
+    truth_kt = dft2_forward(truth_series)
     t2_fit = _read(outdir, f"t2_{method}.ktar", (p, q), cfg)
     t2_true = _read(outdir, "truth_t2.ktar", (None, p, q), cfg)[0]
     support = _support_from_truth(cfg, outdir)
@@ -264,11 +273,11 @@ def cmd_eval(cfg, outdir, method):
 def cmd_render(cfg, outdir, method):
     import numpy as np
 
-    from .core import KtVolume, dft2_inverse
+    from .core import dft2_inverse
     from .pgm import render_map
 
     recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
-    series = dft2_inverse(KtVolume(cfg.grid, recon)).data
+    series = dft2_inverse(recon)
     rdir = outdir / "renders"
     rdir.mkdir(parents=True, exist_ok=True)
     h = cfg.config_hash

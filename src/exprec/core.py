@@ -1,9 +1,11 @@
-"""Core grid and array types plus the per-frame 2-D DFT pair.
+"""The sampling grid, the per-frame 2-D DFT pair and the finiteness check.
 
 Conventions used throughout the package:
 
 * arrays are row-major with spatial axes first: an image series or k-t
-  volume has shape ``(P, Q, T)`` (rows, cols, frames);
+  volume is a plain complex array of shape ``(P, Q, T)`` (rows, cols,
+  frames); its finiteness is checked where it enters or leaves the program
+  (``cli`` reads and writes), not at every step in between;
 * the spatial DFT is unitary (``norm="ortho"``) with the zero frequency
   at index ``(0, 0)``, no center shift;
 * spatial indices are zero based and all circular index arithmetic is
@@ -12,14 +14,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Grid",
-    "ImageSeries",
-    "KtVolume",
     "dft2_forward",
     "dft2_inverse",
     "require_finite",
@@ -60,41 +60,11 @@ class Grid:
         return self.dt + self.dt * np.arange(self.t)
 
 
-def _checked_volume(grid, data, name):
-    data = np.asarray(data, dtype=np.complex128)
-    if data.shape != grid.shape:
-        raise ValueError(f"{name} shape {data.shape} does not match grid {grid.shape}")
-    require_finite(name, data)
-    return data
+def dft2_forward(x):
+    """Unitary per-frame 2-D DFT of a (P, Q, T) image series."""
+    return np.fft.fft2(x, axes=(0, 1), norm="ortho")
 
 
-@dataclass(frozen=True)
-class ImageSeries:
-    """Complex image series rho[r, n] on a Grid."""
-
-    grid: Grid
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _checked_volume(self.grid, self.data, "ImageSeries.data"))
-
-
-@dataclass(frozen=True)
-class KtVolume:
-    """Per-frame spatial Fourier coefficients rho_hat[k, n] on a Grid."""
-
-    grid: Grid
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _checked_volume(self.grid, self.data, "KtVolume.data"))
-
-
-def dft2_forward(x: ImageSeries) -> KtVolume:
-    """Unitary per-frame 2-D DFT of an image series."""
-    return KtVolume(x.grid, np.fft.fft2(x.data, axes=(0, 1), norm="ortho"))
-
-
-def dft2_inverse(k: KtVolume) -> ImageSeries:
-    """Unitary per-frame 2-D inverse DFT of a k-t volume."""
-    return ImageSeries(k.grid, np.fft.ifft2(k.data, axes=(0, 1), norm="ortho"))
+def dft2_inverse(k):
+    """Unitary per-frame 2-D inverse DFT of a (P, Q, T) k-t volume."""
+    return np.fft.ifft2(k, axes=(0, 1), norm="ortho")

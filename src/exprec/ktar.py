@@ -136,12 +136,11 @@ def read_array(path):
     if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
         raise KtarError(f"{path}: header shape must be a list of non-negative ints, got {shape!r}")
     header = ArrayHeader(doc["dtype"], tuple(shape), doc["order"], meta=doc.get("meta"))
-    payload = blob[off:]
+    found = len(blob) - off
     expected = header.count * header.numpy_dtype.itemsize
-    if len(payload) != expected:
-        kind = KtarTruncated if len(payload) < expected else KtarSizeMismatch
-        raise kind(
-            f"{path}: payload size mismatch: header implies {expected} bytes, found {len(payload)}"
-        )
-    data = np.frombuffer(payload, dtype=header.numpy_dtype).reshape(header.shape)
-    return header, data.copy()
+    if found != expected:
+        kind = KtarTruncated if found < expected else KtarSizeMismatch
+        raise kind(f"{path}: payload size mismatch: header implies {expected} bytes, found {found}")
+    # read in place: a slice of the bytes would be one more copy of the payload
+    data = np.frombuffer(blob, dtype=header.numpy_dtype, count=header.count, offset=off)
+    return header, data.reshape(header.shape).copy()

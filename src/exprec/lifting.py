@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, KtVolume
+from .core import Grid
 
 __all__ = [
     "FilterSpec",
@@ -145,12 +145,12 @@ def _gather_indices(spec, mode):
     return ix, iy, it
 
 
-def build_lifted(rho_hat: KtVolume, spec: FilterSpec, mode: str = "linear") -> np.ndarray:
+def build_lifted(rho_hat, spec: FilterSpec, mode: str = "linear") -> np.ndarray:
     """Materialize T(rho_hat) for the given shift semantics as a dense array."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if spec.grid.shape != rho_hat.grid.shape:
-        raise ValueError("filter spec grid does not match volume grid")
+    if rho_hat.shape != spec.grid.shape:
+        raise ValueError(f"volume shape {rho_hat.shape} does not match grid {spec.grid.shape}")
     m, n = spec.n_rows(mode), spec.n_support
     if m * n > ORACLE_MAX_ENTRIES:
         raise LiftedSizeError(
@@ -158,10 +158,10 @@ def build_lifted(rho_hat: KtVolume, spec: FilterSpec, mode: str = "linear") -> n
             f"({ORACLE_MAX_ENTRIES} entries); use the fastops implicit operators"
         )
     ix, iy, it = _gather_indices(spec, mode)
-    return rho_hat.data[ix, iy, it]
+    return rho_hat[ix, iy, it]
 
 
-def apply_lifted_adjoint(y, spec: FilterSpec, mode: str = "linear") -> KtVolume:
+def apply_lifted_adjoint(y, spec: FilterSpec, mode: str = "linear") -> np.ndarray:
     """Adjoint of the lifting map: scatter Y[m, l] back onto index m - l.
 
     Satisfies <T(x), Y> = <x, apply_lifted_adjoint(Y)> for every volume x.
@@ -175,10 +175,10 @@ def apply_lifted_adjoint(y, spec: FilterSpec, mode: str = "linear") -> KtVolume:
     ix, iy, it = _gather_indices(spec, mode)
     out = np.zeros(spec.grid.shape, dtype=np.complex128)
     np.add.at(out, (ix, iy, it), y)
-    return KtVolume(spec.grid, out)
+    return out
 
 
-def lifted_penalty(rho_hat: KtVolume, filters, spec: FilterSpec, offset=(0, 0)):
+def lifted_penalty(rho_hat, filters, spec: FilterSpec, offset=(0, 0)):
     """Filter-bank penalty ``(sum_i A_i* A_i x, 0.5 sum_i ||A_i x||^2)``.
 
     ``filters`` is an ``(M, k, wP, wQ)`` bank whose windows sit at grid
@@ -201,7 +201,7 @@ def lifted_penalty(rho_hat: KtVolume, filters, spec: FilterSpec, offset=(0, 0)):
 
 
 def annihilation_certificate(
-    rho_hat: KtVolume, spec: FilterSpec, mode: str = "linear", tol: float = 1e-8
+    rho_hat, spec: FilterSpec, mode: str = "linear", tol: float = 1e-8
 ) -> AnnihilationCertificate:
     """Full SVD of the explicit lifted matrix; counts sigma_i < tol * sigma_max."""
     sv = np.linalg.svd(build_lifted(rho_hat, spec, mode), compute_uv=False)

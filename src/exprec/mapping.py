@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulate
-from .core import Grid, ImageSeries, KtVolume
 from .simulate import Measurements, adjoint
 
 __all__ = [
@@ -36,8 +35,8 @@ class T2Map:
     support: np.ndarray = field(repr=False)  # (P, Q) bool, pixels actually fitted
 
 
-def fit_t2(series: ImageSeries, echo_times, support=None) -> T2Map:
-    """Per-pixel weighted log-linear mono-exponential fit.
+def fit_t2(series, echo_times, support=None) -> T2Map:
+    """Per-pixel weighted log-linear mono-exponential fit of a (P, Q, T) series.
 
     Solves least squares on log|rho| vs TE with weights |rho|^2, which is
     exact on noiseless mono-exponentials.  Pixels with a non-positive
@@ -47,9 +46,9 @@ def fit_t2(series: ImageSeries, echo_times, support=None) -> T2Map:
     te = np.asarray(echo_times, dtype=np.float64)
     if te.size < 2:
         raise ValueError("need at least 2 echo times")
-    if te.size != series.grid.t:
-        raise ValueError(f"{te.size} echo times for {series.grid.t} frames")
-    mag = np.abs(series.data)
+    mag = np.abs(series)
+    if te.size != mag.shape[2]:
+        raise ValueError(f"{te.size} echo times for {mag.shape[2]} frames")
     if support is None:
         support = mag[:, :, 0] > 0
     support = np.asarray(support, dtype=bool)
@@ -71,7 +70,7 @@ def fit_t2(series: ImageSeries, echo_times, support=None) -> T2Map:
     slope = (s0 * sty - s1 * sy) / det_safe
     intercept = (s2 * sy - s1 * sty) / det_safe
 
-    t2 = np.zeros(series.data.shape[:2])
+    t2 = np.zeros(mag.shape[:2])
     amp = np.zeros_like(t2)
     decaying = good & (slope < 0)
     t2[decaying] = -1.0 / slope[decaying]
@@ -109,15 +108,14 @@ def nrmse(ref, rec) -> float:
     return nerr / nref
 
 
-def recon_zerofill(meas: Measurements) -> KtVolume:
+def recon_zerofill(meas: Measurements) -> np.ndarray:
     """Adjoint (coil-combined, mask-respecting) reconstruction of b."""
-    p, q, t = meas.b.shape[1:]
-    return adjoint(meas.b, meas.maps, meas.mask, Grid(p, q, t))
+    return adjoint(meas.b, meas.maps, meas.mask)
 
 
 @dataclass(frozen=True)
 class KtlrResult:
-    volume: KtVolume
+    volume: np.ndarray = field(repr=False)  # (P, Q, T) k-space
     objective_trace: tuple
 
 
@@ -159,4 +157,4 @@ def recon_ktlowrank(meas: Measurements, mu: float, *, iters: int) -> KtlrResult:
             raise RuntimeError(f"k-t low rank objective increased: {prev} -> {obj}")
         prev = obj
     vol = x if single else np.fft.fft2(x, axes=(0, 1), norm="ortho", out=x)  # back to k-space
-    return KtlrResult(volume=KtVolume(Grid(p, q, t), vol), objective_trace=tuple(trace))
+    return KtlrResult(volume=vol, objective_trace=tuple(trace))

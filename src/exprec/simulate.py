@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, ImageSeries, KtVolume
+from .core import Grid
 
 __all__ = [
     "PhantomSpec",
@@ -84,14 +84,14 @@ class PhantomSpec:
 
 @dataclass(frozen=True)
 class Phantom:
-    series: ImageSeries
+    series: np.ndarray = field(repr=False)  # (P, Q, T) complex
     t2_maps: np.ndarray = field(repr=False)  # (L, P, Q) ms
     amp_maps: np.ndarray = field(repr=False)  # (L, P, Q) complex
     support: np.ndarray = field(repr=False)  # (P, Q) bool
 
 
-def series_from_maps(grid: Grid, amp_maps, t2_maps) -> ImageSeries:
-    """Rebuild the series from parameter maps: rho[r, n] = sum_i a_i b_i^n."""
+def series_from_maps(grid: Grid, amp_maps, t2_maps) -> np.ndarray:
+    """Rebuild the (P, Q, T) series from parameter maps: rho[r, n] = sum_i a_i b_i^n."""
     amp = np.asarray(amp_maps, dtype=np.complex128)
     t2 = np.asarray(t2_maps, dtype=np.float64)
     beta = np.exp(-grid.dt / t2)
@@ -99,7 +99,7 @@ def series_from_maps(grid: Grid, amp_maps, t2_maps) -> ImageSeries:
     data = np.zeros(grid.shape, dtype=np.complex128)
     for i in range(amp.shape[0]):
         data += amp[i][:, :, None] * beta[i][:, :, None] ** n
-    return ImageSeries(grid, data)
+    return data
 
 
 def _bandlimited_field(rng, grid, bandwidth):
@@ -339,7 +339,7 @@ def _image_adjoint(samples, lattice):
     return aliases.reshape(lp, lq, dx, dy, t).transpose(2, 0, 3, 1, 4).reshape(dx * lp, dy * lq, t)
 
 
-def forward(rho_hat: KtVolume, maps, mask):
+def forward(rho_hat, maps, mask):
     """Forward operator: b_ct = mask_t * DFT2(S_c * IDFT2(rho_hat_t)).
 
     With a single uniform coil this reduces to masking, taken literally so
@@ -347,24 +347,25 @@ def forward(rho_hat: KtVolume, maps, mask):
     covers all coils at the size of the mask's k-space lattice (``_lattice``).
     """
     if _uniform_single_coil(maps):
-        return (rho_hat.data * mask)[None, :, :, :]
+        return (rho_hat * mask)[None, :, :, :]
     lattice = _lattice(mask, maps)
     (dx, dy), _, _ = lattice
-    samples = _coil_forward(np.fft.ifft2(rho_hat.data, axes=(0, 1), norm="ortho"), lattice)
+    samples = _coil_forward(np.fft.ifft2(rho_hat, axes=(0, 1), norm="ortho"), lattice)
     b = np.zeros((len(maps),) + mask.shape, dtype=np.complex128)
     b[:, ::dx, ::dy] = np.moveaxis(samples, 2, 0)
     return b
 
 
-def adjoint(b, maps, mask, grid: Grid) -> KtVolume:
-    """Adjoint of ``forward``; with C = 1 and a full mask this is the identity."""
+def adjoint(b, maps, mask):
+    """Adjoint of ``forward``, a (P, Q, T) k-t volume; with C = 1 and a full
+    mask this is the identity."""
     b = np.asarray(b, dtype=np.complex128)
     if _uniform_single_coil(maps):
-        return KtVolume(grid, b[0] * mask)
+        return b[0] * mask
     lattice = _lattice(mask, maps)
     (dx, dy), _, _ = lattice
     combined = _image_adjoint(np.moveaxis(b[:, ::dx, ::dy], 0, 2).copy(), lattice)
-    return KtVolume(grid, np.fft.fft2(combined, axes=(0, 1), norm="ortho", out=combined))
+    return np.fft.fft2(combined, axes=(0, 1), norm="ortho", out=combined)
 
 
 def add_noise(b, mask, sigma: float, seed: int = 0):
@@ -381,7 +382,7 @@ def add_noise(b, mask, sigma: float, seed: int = 0):
 
 
 def simulate_measurements(
-    rho_hat: KtVolume,
+    rho_hat,
     maps,
     mask,
     sigma: float = 0.0,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fastops, simulate
-from .core import KtVolume, require_finite
+from .core import require_finite
 from .lifting import FilterSpec
 
 __all__ = [
@@ -164,8 +164,8 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult
     return CgResult(x, it, res / rhs_norm, stop)
 
 
-def _data_residual_sq(x, meas, grid):
-    resid = simulate.forward(KtVolume(grid, x), meas.maps, meas.mask) - meas.b
+def _data_residual_sq(x, meas):
+    resid = simulate.forward(x, meas.maps, meas.mask) - meas.b
     return float(np.vdot(resid, resid).real)
 
 
@@ -205,7 +205,6 @@ def _rhs(meas, lam, lattice):
 
 def ls_update(
     block,
-    spec: FilterSpec,
     meas,
     lam: float,
     warm_start=None,
@@ -223,8 +222,8 @@ def ls_update(
     unpreconditioned on the unitary change of variables z = F^H x: the
     penalty is a per-pixel matmul, the data term one batched FFT pair over
     all coils at the size of the mask's k-space lattice (``simulate._lattice``,
-    found once here).  Returns (KtVolume, CgResult) in k-space; the quadratic
-    objective at the result never exceeds its value at the warm start.
+    found once here).  Returns the ``CgResult``, its ``x`` in k-space; the
+    quadratic objective there never exceeds its value at the warm start.
     """
     mask = meas.mask
     single = simulate._uniform_single_coil(meas.maps)
@@ -243,9 +242,8 @@ def ls_update(
             return d
 
         inv_diag = _jacobi_inverse(block, lam_mask)
-        result = cg_solve(op, _rhs(meas, lam, lattice), x0=x0, tol=cg_tol, maxiter=cg_iters,
-                          inv_diag=inv_diag)
-        return KtVolume(spec.grid, result.x), result
+        return cg_solve(op, _rhs(meas, lam, lattice), x0=x0, tol=cg_tol, maxiter=cg_iters,
+                        inv_diag=inv_diag)
 
     def op(z):
         d = _data_normal(z, lattice)
@@ -257,7 +255,7 @@ def ls_update(
     result = cg_solve(op, _rhs(meas, lam, lattice), tol=cg_tol, maxiter=cg_iters,
                       x0=None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho"))
     result.x = np.fft.fft2(result.x, axes=(0, 1), norm="ortho")
-    return KtVolume(spec.grid, result.x), result
+    return result
 
 
 @dataclass(frozen=True)
@@ -300,24 +298,23 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
     """Run the alternating weight / least-squares iteration.
 
     Starts from the zero-filled volume (the adjoint of the data) and returns
-    (KtVolume, SolveReport).  eps starts at lambda_max(R_0) / 100, with R_0
-    the Gram of that start, and decays by ``eps_decay`` per round down to
-    ``eps_min = 1e-9 lambda_max(R_0)``.  Converged once eps is at ``eps_min``
-    and one round changes the smoothed objective at that eps by at most
-    ``OBJ_STOP_REL`` relative; else it stops, not converged, after
-    ``outer_iters`` rounds.
+    (x, SolveReport), x the (P, Q, T) k-space volume.  eps starts at
+    lambda_max(R_0) / 100, with R_0 the Gram of that start, and decays by
+    ``eps_decay`` per round down to ``eps_min = 1e-9 lambda_max(R_0)``.
+    Converged once eps is at ``eps_min`` and one round changes the smoothed
+    objective at that eps by at most ``OBJ_STOP_REL`` relative; else it
+    stops, not converged, after ``outer_iters`` rounds.
     """
-    grid = spec.grid
-    if meas.b.shape[1:] != grid.shape:
-        raise ValueError(f"measurements shape {meas.b.shape} does not match grid {grid.shape}")
-    x = simulate.adjoint(meas.b, meas.maps, meas.mask, grid).data
+    if meas.b.shape[1:] != spec.grid.shape:
+        raise ValueError(f"measurements shape {meas.b.shape} does not match grid {spec.grid.shape}")
+    x = simulate.adjoint(meas.b, meas.maps, meas.mask)
     eigvals, eigvecs = _gram_eig(x, spec, 0)
     lam_max0 = max(float(eigvals[-1]), 0.0)
     eps = lam_max0 / 100.0
     if eps <= 0:
         eps = 1.0  # degenerate all-zero start; any positive eps works
     eps_min = 1e-9 * lam_max0
-    data_sq = _data_residual_sq(x, meas, grid)
+    data_sq = _data_residual_sq(x, meas)
 
     records = []
     converged = False
@@ -329,13 +326,13 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
         del eigvecs
         block = fastops.build_normal_multipliers(h, spec)
         del h
-        vol, cg = ls_update(block, spec, meas, cfg.lam, warm_start=x,
-                            cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
+        cg = ls_update(block, meas, cfg.lam, warm_start=x,
+                       cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
         del block
-        x = vol.data
+        x = cg.x
         # the last step's Gram feeds only the objective: eigenvalues alone
         eigvals, eigvecs = _gram_eig(x, spec, n, vectors=n < cfg.outer_iters)
-        data_sq = _data_residual_sq(x, meas, grid)
+        data_sq = _data_residual_sq(x, meas)
         reg = _smoothed_reg(eigvals, eps, cfg.p)
         data_term = 0.5 * cfg.lam * data_sq
         objective = reg + data_term
@@ -364,4 +361,4 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
             break
         eps = max(eps * cfg.eps_decay, eps_min)
 
-    return KtVolume(grid, x), SolveReport(records=records, converged=converged)
+    return x, SolveReport(records=records, converged=converged)

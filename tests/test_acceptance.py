@@ -15,7 +15,7 @@ import pytest
 from exprec import fastops, ktar, mapping, simulate, solver
 from exprec.cli import main as cli_main
 from exprec.config import load_preset
-from exprec.core import Grid, KtVolume, dft2_forward, dft2_inverse
+from exprec.core import Grid, dft2_forward, dft2_inverse
 from exprec.lifting import FilterSpec, annihilation_certificate, build_lifted, lifted_penalty
 
 
@@ -40,7 +40,7 @@ def test_criterion_1_oracle_equivalence():
             int(rng.integers(1, min(2, t) + 1)),
             g,
         )
-        vol = KtVolume(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        vol = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
 
         # circulant Gram: T T* of the full-support hybrid lifting on the
         # valid linear rows
@@ -48,7 +48,7 @@ def test_criterion_1_oracle_equivalence():
         ft, fx, fy = spec.row_indices("linear")
         rows = t_full[((ft - spec.nt + 1) * p + fx) * q + fy]
         ref = rows @ rows.conj().T
-        gram = fastops.assemble_gram_circulant(vol.data, spec).matrix
+        gram = fastops.assemble_gram_circulant(vol, spec).matrix
         worst_gram = max(worst_gram, np.linalg.norm(gram - ref) / np.linalg.norm(ref))
 
         # collapsed penalty of H = A* A against the dense filter bank A
@@ -56,8 +56,8 @@ def test_criterion_1_oracle_equivalence():
         bank = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         a = bank.reshape(shape[0], -1)
         block = fastops.build_normal_multipliers(a.conj().T @ a, spec)
-        want = lifted_penalty(vol, bank, spec, spec.spatial_offset("linear"))[0].data
-        got = fastops.apply_normal(block, vol.data)
+        want = lifted_penalty(vol, bank, spec, spec.spatial_offset("linear"))[0]
+        got = fastops.apply_normal(block, vol)
         worst_penalty = max(worst_penalty, np.linalg.norm(got - want) / np.linalg.norm(want))
     elapsed = time.perf_counter() - t0
     assert worst_gram <= 1e-10, f"assemble_gram_circulant mismatch {worst_gram:.2e}"
@@ -98,7 +98,7 @@ def test_criterion_3_irls_correctness():
 
     # (a) majorization identity Tr(T* H T) = sum_i ||h_i T||^2, with the
     # rows h_i of H^(1/2) formed here from the same eigenpairs as H
-    t_lin = build_lifted(KtVolume(g, x), spec, "linear")
+    t_lin = build_lifted(x, spec, "linear")
     lam_r, u_r = np.linalg.eigh(t_lin @ t_lin.conj().T)
     h = solver._weights_from_eig(lam_r, u_r, 0.1, 0.6)
     half = ((np.clip(lam_r, 0.0, None) + 0.1) ** (0.6 / 4.0 - 0.5))[:, None] * u_r.conj().T
@@ -126,13 +126,12 @@ def test_criterion_3_irls_correctness():
     coils = simulate.make_coils(g, 1, seed=78)
     mask = simulate.make_mask(g, "uniform_random", 0.5, seed=79)
     meas = simulate.simulate_measurements(kt, coils, mask)
-    h2 = solver.weight_update(kt.data, spec, p=0.6, eps=0.1)
+    h2 = solver.weight_update(kt, spec, p=0.6, eps=0.1)
     lam = 5.0
     block = fastops.build_normal_multipliers(h2, spec)
 
     def op(v):
-        vol = KtVolume(g, v)
-        ata = simulate.adjoint(simulate.forward(vol, coils, mask), coils, mask, g).data
+        ata = simulate.adjoint(simulate.forward(v, coils, mask), coils, mask)
         return fastops.apply_normal(block, v) + lam * ata
 
     n = g.p * g.q * g.t
@@ -141,10 +140,10 @@ def test_criterion_3_irls_correctness():
         e = np.zeros(n, dtype=complex)
         e[j] = 1.0
         dense[:, j] = op(e.reshape(g.shape)).ravel()
-    rhs_vec = lam * simulate.adjoint(meas.b, coils, mask, g).data
+    rhs_vec = lam * simulate.adjoint(meas.b, coils, mask)
     direct = np.linalg.solve(dense, rhs_vec.ravel()).reshape(g.shape)
-    vol_cg, _ = solver.ls_update(block, spec, meas, lam, cg_iters=4000, cg_tol=1e-13)
-    rel_c = np.linalg.norm(vol_cg.data - direct) / np.linalg.norm(direct)
+    vol_cg = solver.ls_update(block, meas, lam, cg_iters=4000, cg_tol=1e-13).x
+    rel_c = np.linalg.norm(vol_cg - direct) / np.linalg.norm(direct)
     assert rel_c <= 1e-8
 
     # (d) finite-difference gradient check at 20 coordinates
@@ -254,9 +253,7 @@ def test_criterion_5_temporal_filter_trend(tmp_path):
                        "--method", "proposed") in (0, 2)
         _, phantom = ktar.read_array(out / "phantom.ktar")
         _, recon = ktar.read_array(out / "recon_proposed.ktar")
-        grid = Grid(*phantom.shape)
-        rec_img = dft2_inverse(KtVolume(grid, recon)).data
-        snrs[nt] = mapping.snr_db(phantom, rec_img)
+        snrs[nt] = mapping.snr_db(phantom, dft2_inverse(recon))
     assert snrs[2] > snrs[1], snrs
     assert snrs[4] > snrs[1], snrs
     print(f"[PASS] criterion 5: temporal trend SNR(Nt=1) = {snrs[1]:.2f} dB < "

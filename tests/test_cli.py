@@ -283,6 +283,22 @@ class TestErrors:
             assert f"{name} holds a non-finite value" in err, (method, err)
             assert "internal error" not in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_output_is_data_error(self, tmp_path, capsys):
+        # amp_variation 1e308 is a valid number whose phantom overflows the
+        # spatial DFT: the arrays it yields are refused before their file is made
+        bad = json.loads(json.dumps(TINY))
+        bad["phantom"]["amp_variation"] = 1e308
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", path, "--out", out) == 65
+        err = capsys.readouterr().err
+        assert ".ktar holds a non-finite value" in err, err
+        assert "internal error" not in err
+        assert not (out / "meas.ktar").exists()
+
     @pytest.mark.parametrize("changes", [
         {"grid": {"p": 12}, "filter": {"n1": 9}},
         {"grid": {"t": 8}},

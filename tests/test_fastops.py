@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from exprec import fastops, simulate
-from exprec.core import Grid, ImageSeries, KtVolume, dft2_forward
+from exprec.core import Grid, dft2_forward
 from exprec.lifting import FilterSpec, build_lifted, lifted_penalty
 from exprec.solver import SolverConfig, _weights_from_eig, irls_solve
 
 
 def random_volume(grid, seed=0):
     rng = np.random.default_rng(seed)
-    return KtVolume(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
 
 
 def dense_gram(vol, spec):
@@ -28,12 +28,11 @@ class TestHybridConv:
         g = Grid(6, 6, 5)
         beta = 0.7
         n = np.arange(g.t)
-        series = ImageSeries(g, np.broadcast_to(beta**n, g.shape).copy())
-        kt = dft2_forward(series)
+        kt = dft2_forward(np.broadcast_to(beta**n, g.shape).copy())
         spec = FilterSpec(1, 1, 2, g)
         c = np.array([1.0, -beta]).reshape(2, 1, 1)
         out = build_lifted(kt, spec, "hybrid") @ c.ravel()
-        assert np.abs(out).max() < 1e-12 * np.abs(kt.data).max()
+        assert np.abs(out).max() < 1e-12 * np.abs(kt).max()
 
 
 def random_gram_cases():
@@ -58,7 +57,7 @@ class TestAssembleGram:
         for vol, spec in random_gram_cases():
             g = spec.grid
             tm = build_lifted(vol, FilterSpec(g.p, g.q, spec.nt, g), "hybrid")
-            got = fastops.assemble_gram_circulant(vol.data, spec).matrix
+            got = fastops.assemble_gram_circulant(vol, spec).matrix
             ft, fx, fy = spec.row_indices("linear")
             rows = tm[((ft - spec.nt + 1) * g.p + fx) * g.q + fy]
             want = rows @ rows.conj().T
@@ -71,7 +70,7 @@ class TestAssembleGram:
         spec = FilterSpec(g.p, g.q, 2, g)
         vol = random_volume(g, 8)
         exact = dense_gram(vol, spec)
-        circ = fastops.assemble_gram_circulant(vol.data, spec).matrix
+        circ = fastops.assemble_gram_circulant(vol, spec).matrix
         assert np.abs(exact - circ).max() <= 1e-10 * np.abs(exact).max()
 
     def test_degenerate_single_temporal_partition(self):
@@ -79,7 +78,7 @@ class TestAssembleGram:
         g = Grid(5, 5, 3)
         spec = FilterSpec(2, 2, g.t, g)
         vol = random_volume(g, 9)
-        got = fastops.assemble_gram_circulant(vol.data, spec).matrix
+        got = fastops.assemble_gram_circulant(vol, spec).matrix
         assert spec.k == 1
         tm = build_lifted(vol, FilterSpec(g.p, g.q, spec.nt, g), "hybrid")
         _, fx, fy = spec.row_indices("linear")
@@ -100,7 +99,7 @@ class TestAssembleGram:
                 int(rng.integers(1, t + 1)),
                 g,
             )
-            r = assemble(random_volume(g, seed).data, spec).matrix
+            r = assemble(random_volume(g, seed), spec).matrix
             assert np.array_equal(r, r.conj().T)
             ev = np.linalg.eigvalsh(r)
             assert ev[0] >= -1e-10 * max(ev[-1], 0.0)
@@ -109,8 +108,8 @@ class TestAssembleGram:
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         vol = random_volume(g, 10)
-        a = fastops.assemble_gram_circulant(vol.data, spec).matrix
-        b = fastops.assemble_gram_circulant(vol.data, spec).matrix
+        a = fastops.assemble_gram_circulant(vol, spec).matrix
+        b = fastops.assemble_gram_circulant(vol, spec).matrix
         assert np.array_equal(a, b)
 
     def test_size_guard(self):
@@ -118,8 +117,13 @@ class TestAssembleGram:
         g = Grid(64, 64, 12)
         spec = FilterSpec(3, 3, 2, g)
         with pytest.raises(fastops.GramSizeError, match="wider filter") as info:
-            fastops.assemble_gram_circulant(random_volume(g).data, spec)
+            fastops.assemble_gram_circulant(random_volume(g), spec)
         assert "restriction" not in str(info.value)
+
+    def test_shape_mismatch(self):
+        spec = FilterSpec(2, 2, 2, Grid(4, 4, 2))
+        with pytest.raises(ValueError, match=r"volume shape \(4, 4, 3\) does not match grid"):
+            fastops.assemble_gram_circulant(np.ones((4, 4, 3)), spec)
 
     # (grid, spatial filter) -> the bound on the circulant Gram's relative
     # Frobenius gap to the exact-support Gram of the centred spectrum, per
@@ -141,11 +145,11 @@ class TestAssembleGram:
                 for seed in (0, 1):
                     ph = simulate.make_phantom(simulate.PhantomSpec(g, kind=kind), seed=seed)
                     kt = dft2_forward(ph.series)
-                    centred = np.fft.fftshift(kt.data, axes=(0, 1))
-                    circ = fastops.assemble_gram_circulant(kt.data, spec).matrix
+                    centred = np.fft.fftshift(kt, axes=(0, 1))
+                    circ = fastops.assemble_gram_circulant(kt, spec).matrix
                     assert np.array_equal(
                         circ, fastops.assemble_gram_circulant(centred, spec).matrix)
-                    exact = dense_gram(KtVolume(g, centred), spec)
+                    exact = dense_gram(centred, spec)
                     rel = np.linalg.norm(circ - exact) / np.linalg.norm(exact)
                     assert rel <= bound, (n, kind, seed, rel)
                     corner = dense_gram(kt, spec)
@@ -194,7 +198,7 @@ class TestNormalMultipliers:
         for t in range(g.t):
             x = np.zeros(g.shape, dtype=complex)
             x[:, :, t] = rng.standard_normal(g.shape[:2]) + 1j * rng.standard_normal(g.shape[:2])
-            want = _bank_penalty(KtVolume(g, x), filters, spec)[0].data
+            want = _bank_penalty(x, filters, spec)[0]
             got = fastops.apply_normal(block, x)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -204,10 +208,10 @@ class TestNormalMultipliers:
         filters = _random_bank(spec, 6, 13)
         block = fastops.build_normal_multipliers(_weight_matrix(filters), spec)
         vol = random_volume(g, 14)
-        got = fastops.apply_normal(block, vol.data)
+        got = fastops.apply_normal(block, vol)
         want, value = _bank_penalty(vol, filters, spec)
-        assert np.abs(got - want.data).max() <= 1e-10 * np.abs(want.data).max()
-        penalty = 0.5 * np.vdot(vol.data, got).real
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        penalty = 0.5 * np.vdot(vol, got).real
         assert abs(penalty - value) <= 1e-10 * abs(value)
 
     @pytest.mark.parametrize("nt", [1, 2, 5])
@@ -221,17 +225,17 @@ class TestNormalMultipliers:
         assert np.abs(block - np.conj(np.swapaxes(block, 2, 3))).max() \
             <= 1e-12 * np.abs(block).max()
         vol = random_volume(g, 31)
-        z = np.fft.ifft2(vol.data, axes=(0, 1), norm="ortho")
+        z = np.fft.ifft2(vol, axes=(0, 1), norm="ortho")
         got = np.fft.fft2(fastops.apply_block(block, z), axes=(0, 1), norm="ortho")
-        want = _bank_penalty(vol, filters, spec)[0].data
+        want = _bank_penalty(vol, filters, spec)[0]
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_adjoint_property(self):
         g = Grid(7, 6, 4)
         spec = FilterSpec(3, 2, 2, g)
         block = fastops.build_normal_multipliers(_weight_matrix(_random_bank(spec, 5, 15)), spec)
-        x = random_volume(g, 16).data
-        y = random_volume(g, 17).data
+        x = random_volume(g, 16)
+        y = random_volume(g, 17)
         lhs = np.vdot(y, fastops.apply_normal(block, x))
         rhs = np.vdot(fastops.apply_normal(block, y), x)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -241,7 +245,7 @@ class TestNormalMultipliers:
         spec = FilterSpec(2, 2, 2, g)
         n = spec.n_rows("linear")
         block = fastops.build_normal_multipliers(np.zeros((n, n), dtype=complex), spec)
-        x = random_volume(g, 18).data
+        x = random_volume(g, 18)
         assert np.abs(fastops.apply_normal(block, x)).max() == 0.0
 
     @pytest.mark.parametrize("p,q,t,n1,n2,nt", [
@@ -308,10 +312,10 @@ class TestEighOverwrite:
         smoothed phantom, and an 18-row one on a random volume."""
         g = Grid(64, 64, 12)
         ph = simulate.make_phantom(simulate.PhantomSpec(g, kind="regions_smoothed"), seed=5)
-        fig5 = fastops.assemble_gram_circulant(dft2_forward(ph.series).data,
+        fig5 = fastops.assemble_gram_circulant(dft2_forward(ph.series),
                                                FilterSpec(58, 58, 2, g))
         g = Grid(4, 4, 3)
-        tiny = fastops.assemble_gram_circulant(random_volume(g, 7).data, FilterSpec(2, 2, 2, g))
+        tiny = fastops.assemble_gram_circulant(random_volume(g, 7), FilterSpec(2, 2, 2, g))
         return [fig5.matrix, tiny.matrix]
 
     def test_eigenpairs(self, grams):
@@ -347,7 +351,7 @@ class TestEighOverwrite:
         vol, report = irls_solve(meas, spec, cfg)
         monkeypatch.setattr(fastops, "_zheevr", lambda: None)
         vol_fb, report_fb = irls_solve(meas, spec, cfg)
-        assert np.abs(vol_fb.data - vol.data).max() <= 1e-9 * np.abs(vol.data).max()
+        assert np.abs(vol_fb - vol).max() <= 1e-9 * np.abs(vol).max()
         for a, b in zip(report.records, report_fb.records):
             assert abs(a.objective - b.objective) <= 1e-10 * abs(a.objective)
 
@@ -396,7 +400,7 @@ class TestComplexity:
         for _ in range(6):
             for i, (vol, spec) in enumerate(cases):
                 t0 = time.perf_counter()
-                fastops.assemble_gram_circulant(vol.data, spec)
+                fastops.assemble_gram_circulant(vol, spec)
                 best[i] = min(best[i], time.perf_counter() - t0)
         t_small, t_big = best
         ratio = t_big / t_small

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ class TestRoundTrip:
             header, back = ktar.read_array(path)
         assert header.shape == tuple(shape)
         assert np.array_equal(back, data)
+
+
+    def test_read_holds_at_most_two_payloads(self, tmp_path):
+        # the file's bytes and the returned array; no slice of the payload besides
+        path = tmp_path / "big.ktar"
+        data = np.zeros((4, 64, 64, 12), dtype=np.complex128)
+        ktar.write_array(path, data)
+        tracemalloc.start()
+        try:
+            _, back = ktar.read_array(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.shape == data.shape and back.flags.writeable
+        assert peak <= 2.1 * data.nbytes, peak / data.nbytes
 
 
 class TestErrors:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exprec.core import Grid, ImageSeries, KtVolume, dft2_forward
+from exprec.core import Grid, dft2_forward
 from exprec.lifting import (
     FilterSpec,
     LiftedSizeError,
@@ -36,7 +36,7 @@ def conv_oracle(x, c, spec, mode):
 
 def random_volume(grid, seed=0):
     rng = np.random.default_rng(seed)
-    return KtVolume(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
 
 
 def bandlimited_phantom():
@@ -46,8 +46,7 @@ def bandlimited_phantom():
     beta = 0.5 + 0.2 * np.cos(2 * np.pi * x / g.p)
     beta = np.tile(beta[:, None], (1, g.q))
     n = np.arange(g.t)
-    series = ImageSeries(g, beta[:, :, None] ** n)
-    return g, beta, dft2_forward(series)
+    return g, beta, dft2_forward(beta[:, :, None] ** n)
 
 
 def annihilator_for(beta, g, n1):
@@ -89,14 +88,13 @@ class TestBuildLifted:
         c = rng.standard_normal(spec.support_shape) + 1j * rng.standard_normal(spec.support_shape)
         lifted = build_lifted(vol, spec, mode)
         got = lifted @ c.ravel()
-        want = conv_oracle(vol.data, c, spec, mode).ravel()
+        want = conv_oracle(vol, c, spec, mode).ravel()
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
     def test_mono_exponential_annihilation(self):
         g = Grid(5, 5, 4)
         n = np.arange(g.t)
-        series = ImageSeries(g, np.broadcast_to(0.5**n, g.shape).copy())
-        kt = dft2_forward(series)
+        kt = dft2_forward(np.broadcast_to(0.5**n, g.shape).copy())
         spec = FilterSpec(1, 1, 2, g)
         c = np.array([1.0, -0.5]).reshape(2, 1, 1)
         for mode in ("linear", "hybrid"):
@@ -109,7 +107,7 @@ class TestBuildLifted:
         spec = FilterSpec(2, 2, 2, g)
         u, v = random_volume(g, 1), random_volume(g, 2)
         a, b = 0.7 - 1.1j, 2.0 + 0.5j
-        combo = KtVolume(g, a * u.data + b * v.data)
+        combo = a * u + b * v
         lhs = build_lifted(combo, spec, "hybrid")
         rhs = a * build_lifted(u, spec, "hybrid") + b * build_lifted(v, spec, "hybrid")
         assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(rhs).max()
@@ -120,7 +118,7 @@ class TestBuildLifted:
         spec = FilterSpec(2, 2, 2, g)
         vol = random_volume(g, 5)
         shift = (1, 2)
-        rolled = KtVolume(g, np.roll(vol.data, shift, axis=(0, 1)))
+        rolled = np.roll(vol, shift, axis=(0, 1))
         t_orig = build_lifted(vol, spec, "hybrid")
         t_roll = build_lifted(rolled, spec, "hybrid")
         k = spec.k
@@ -134,6 +132,11 @@ class TestBuildLifted:
             FilterSpec(5, 2, 2, g)
         with pytest.raises(ValueError, match="Nt <= T"):
             FilterSpec(2, 2, 4, g)
+
+    def test_shape_mismatch(self):
+        spec = FilterSpec(2, 2, 2, Grid(4, 4, 2))
+        with pytest.raises(ValueError, match=r"volume shape \(4, 4, 3\) does not match grid"):
+            build_lifted(np.ones((4, 4, 3)), spec, "linear")
 
     def test_size_guard(self):
         g = Grid(64, 64, 12)
@@ -149,7 +152,7 @@ class TestAdjoint:
         m_idx, l_idx = 7, 3
         y = np.zeros((spec.n_rows("hybrid"), spec.n_support), dtype=complex)
         y[m_idx, l_idx] = 1.0
-        out = apply_lifted_adjoint(y, spec, "hybrid").data
+        out = apply_lifted_adjoint(y, spec, "hybrid")
         ft, fx, fy = spec.row_indices("hybrid")
         lt, lx, ly = spec.support_indices()
         target = ((fx[m_idx] - lx[l_idx]) % g.p, (fy[m_idx] - ly[l_idx]) % g.q,
@@ -168,14 +171,14 @@ class TestAdjoint:
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         lifted = build_lifted(vol, spec, mode)
         lhs = np.sum(np.conj(y) * lifted)
-        rhs = np.sum(np.conj(apply_lifted_adjoint(y, spec, mode).data) * vol.data)
+        rhs = np.sum(np.conj(apply_lifted_adjoint(y, spec, mode)) * vol)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_zero(self):
         g = Grid(4, 4, 3)
         spec = FilterSpec(2, 2, 2, g)
         y = np.zeros((spec.n_rows("linear"), spec.n_support))
-        assert np.abs(apply_lifted_adjoint(y, spec, "linear").data).max() == 0.0
+        assert np.abs(apply_lifted_adjoint(y, spec, "linear")).max() == 0.0
 
     def test_shape_mismatch(self):
         g = Grid(4, 4, 3)

@@ -16,6 +16,7 @@ from exprec import fastops, simulate, solver
 from exprec.core import Grid, dft2_forward
 from exprec.lifting import FilterSpec
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["exprec"] + [f"exprec.{m.name}" for m in pkgutil.iter_modules(exprec.__path__)]
 
 
@@ -96,6 +97,13 @@ def test_recon_imports_no_scipy(tmp_path):
     assert (tmp_path / "recon_proposed.ktar").exists()
 
 
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.stem)
+def test_scripts_import(script):
+    # a stale import in a script fails here; the __main__ block is not run
+    spec = importlib.util.spec_from_file_location(f"scripts_{script.stem}", script)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
 def test_benchmark_trace_targets_resolve():
     # the benchmark's layer tracer finds its spans by module and attribute
     # name, so a rename under src/ would leave a span silently absent
@@ -137,5 +145,5 @@ def test_fastops_functions_are_reached_by_recon(monkeypatch):
     for coils in (1, 2):
         meas = simulate.simulate_measurements(kt, simulate.make_coils(g, coils, seed=3), mask)
         vol, _ = solver.irls_solve(meas, spec, cfg)
-        assert np.all(np.isfinite(vol.data))
+        assert np.all(np.isfinite(vol))
     assert sorted(n for n, count in calls.items() if count == 0) == []
