@@ -69,6 +69,14 @@ def _seeds(cfg):
     return {name: (cfg.seed + i) % 2**64 for i, name in enumerate(names)}
 
 
+def _overflows(scale, data):
+    """Whether ``scale`` times the squared norm of ``data`` overflows float64."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.isfinite(scale * np.vdot(data, data).real)
+
+
 def _require_finite(path, data):
     """DataError naming ``path`` unless every value of ``data`` is finite."""
     from .core import require_finite
@@ -91,7 +99,8 @@ def _write(outdir, name, data, cfg):
 
 def _read(outdir, name, shape, cfg):
     """One pipeline array, which must fit ``shape`` (None on an axis of any
-    length), be stamped with ``cfg.config_hash`` and hold only finite values."""
+    length), be stamped with ``cfg.config_hash`` and hold only finite values,
+    whose squared norm times their count is finite too: recon squares them."""
     from . import ktar
 
     path = outdir / name
@@ -107,6 +116,8 @@ def _read(outdir, name, shape, cfg):
             f"but this run's config hash is {cfg.config_hash}"
         )
     _require_finite(path, data)
+    if _overflows(data.size, data):  # the Gram's unnormalized DFT cross-powers reach this
+        raise DataError(f"{path} holds values too large to square and sum")
     return data
 
 
@@ -198,6 +209,10 @@ def cmd_recon(cfg, outdir, method):
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report_ktlr.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
+        lam = cfg.solver_config.lam
+        if _overflows(lam, meas.b):  # the data term 0.5 lam ||A x - b||^2
+            raise ConfigError(f"invalid config: /solver/lam: {lam!r} times the squared "
+                              f"norm of {outdir / 'meas.ktar'} overflows")
         try:
             vol, report = irls_solve(meas, cfg.filter_spec, cfg.solver_config)
         except GramSizeError as exc:

@@ -131,30 +131,25 @@ def recon_ktlowrank(meas: Measurements, mu: float, *, iters: int) -> KtlrResult:
     Minimizes 0.5 ||A x - b||^2 + mu ||Casorati(x)||_* with unit step
     (||A|| <= 1 for SOS-normalized coils), soft-thresholding the PQ x T
     Casorati matrix each sweep.  That commutes with the unitary per-frame DFT
-    F, so one uniform coil iterates on k-space x (A is the mask), and several
-    coils on z = F^H x through ``simulate._lattice`` (b is 0 off it).
+    F, so ISTA runs on the domain of ``simulate.Sampling``: k-space x for one
+    uniform coil (A is the mask), else z = F^H x with b gathered once onto the
+    mask's k-space lattice (b is 0 off it).
     """
     if mu < 0 or iters < 1:
         raise ValueError("need mu >= 0 and iters >= 1")
     p, q, t = meas.b.shape[1:]
-    if single := simulate._uniform_single_coil(meas.maps):
-        b, fwd, adj = meas.b[0], (lambda x: x * meas.mask), (lambda r: r * meas.mask)
-    else:
-        (dx, dy), _, _ = lattice = simulate._lattice(meas.mask, meas.maps)
-        b = np.moveaxis(meas.b[:, ::dx, ::dy], 0, 2).copy()
-        fwd = lambda z: simulate._coil_forward(z, lattice)  # noqa: E731
-        adj = lambda r: simulate._image_adjoint(r, lattice)  # noqa: E731; overwrites r
+    a = simulate.Sampling(meas.maps, meas.mask)
+    b = a.gather(meas.b)
     x = np.zeros((p, q, t), dtype=np.complex128)
     trace, prev = [], np.inf
-    resid = fwd(x) - b  # A x - b; each sweep's objective residual is the next one's gradient's
+    resid = a.apply(x) - b  # A x - b; each sweep's objective residual is the next one's gradient's
     for _ in range(iters):
-        xnew, sv = _svt((x - adj(resid)).reshape(p * q, t), mu)
+        xnew, sv = _svt((x - a.adjoint(resid)).reshape(p * q, t), mu)
         x = xnew.reshape(p, q, t)
-        resid = fwd(x) - b
+        resid = a.apply(x) - b
         obj = 0.5 * float(np.vdot(resid, resid).real) + mu * float(sv.sum())
         trace.append(obj)
         if obj > prev * (1 + 1e-8) and obj > prev + 1e-12:
             raise RuntimeError(f"k-t low rank objective increased: {prev} -> {obj}")
         prev = obj
-    vol = x if single else np.fft.fft2(x, axes=(0, 1), norm="ortho", out=x)  # back to k-space
-    return KtlrResult(volume=vol, objective_trace=tuple(trace))
+    return KtlrResult(volume=a.to_kspace(x), objective_trace=tuple(trace))

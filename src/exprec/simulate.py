@@ -1,6 +1,6 @@
 """Synthetic inverse-problem generation: exponential phantoms with smooth
-parameter maps, coil sensitivities, sampling masks, the forward operator
-and measurement noise.
+parameter maps, coil sensitivities, sampling masks, measurement noise and the
+sampling operator ``Sampling``, the one place that decides where it runs.
 
 All randomness flows through numpy's counter-based Philox generator keyed
 by explicit seeds, so every artifact is reproducible across platforms and
@@ -19,6 +19,7 @@ __all__ = [
     "PhantomSpec",
     "Phantom",
     "Measurements",
+    "Sampling",
     "make_phantom",
     "series_from_maps",
     "make_coils",
@@ -298,74 +299,92 @@ class Measurements:
         object.__setattr__(self, "b", b * self.mask[None, :, :, :])
 
 
-def _uniform_single_coil(maps):
-    return maps.shape[0] == 1 and np.all(maps == 1.0)
+class Sampling:
+    """The sampling operator A of ``forward``, with the one-coil/lattice choice taken once.
 
+    One uniform coil runs in k-space, where A is the mask.  Otherwise A acts on
+    z = F^H x at the mask's k-space lattice: ``step`` (dx, dy) is the gcd of P
+    and every sampled kx (dy likewise), as a P-point DFT at multiples of dx is
+    the (P/dx)-point DFT of the signal folded dx times, over sqrt(dx) in ortho
+    norm.  ``weight`` is mask[::dx, ::dy] / sqrt(dx dy) and ``coils`` one
+    C x (dx dy) alias matrix per lattice pixel, (P/dx, Q/dy, C, dx dy).
+    Samples are (P, Q, T) in k-space, else (P/dx, Q/dy, C, T).
+    """
 
-def _lattice(mask, maps):
-    """((dx, dy), mask[::dx, ::dy] / sqrt(dx dy), coils) for dx the gcd of P and
-    every sampled kx (dy likewise): a P-point DFT at multiples of dx is the
-    (P/dx)-point DFT of the signal folded dx times, over sqrt(dx) in ortho norm.
-    ``coils`` is one C x (dx dy) alias matrix per lattice pixel, (P/dx, Q/dy, C, dx dy)."""
-    p, q, _ = mask.shape  # reductions over the leading axes: any(axis=2) is slow
-    sampled = (mask.reshape(p, -1).any(axis=1), mask.any(axis=0).any(axis=1))  # kx, ky
-    dx, dy = (int(np.gcd.reduce(np.flatnonzero(k), initial=n)) for k, n in zip(sampled, (p, q)))
-    lp, lq = p // dx, q // dy
-    coils = maps.reshape(-1, dx, lp, dy, lq).transpose(2, 4, 0, 1, 3).reshape(lp, lq, -1, dx * dy)
-    return (dx, dy), mask[::dx, ::dy] / np.sqrt(dx * dy), coils
+    def __init__(self, maps, mask):
+        self.mask, self.kspace = mask, maps.shape[0] == 1 and bool(np.all(maps == 1.0))
+        if self.kspace:
+            self.step, self.weight, self.coils = (1, 1), None, None
+            return
+        p, q, _ = mask.shape  # reductions over the leading axes: any(axis=2) is slow
+        sampled = (mask.reshape(p, -1).any(axis=1), mask.any(axis=0).any(axis=1))  # kx, ky
+        dx, dy = self.step = tuple(int(np.gcd.reduce(np.flatnonzero(k), initial=n))
+                                   for k, n in zip(sampled, (p, q)))
+        self.weight = mask[::dx, ::dy] / np.sqrt(dx * dy)
+        self.coils = maps.reshape(-1, dx, p // dx, dy, q // dy).transpose(2, 4, 0, 1, 3).reshape(
+            p // dx, q // dy, -1, dx * dy)
 
+    def gather(self, b):
+        """The samples of (C, P, Q, T) data, a copy for ``adjoint`` to overwrite."""
+        dx, dy = self.step
+        view = b[0] if self.kspace else np.moveaxis(b[:, ::dx, ::dy], 0, 2)
+        return view.astype(np.complex128, order="C")
 
-def _coil_forward(img, lattice):
-    """Every coil's M F (S_c img) as (P/dx, Q/dy, C, T) lattice samples: one matmul
-    per lattice pixel folds and coil-weights its aliases, one fft2 takes all coils."""
-    (dx, dy), weight, coils = lattice
-    lp, lq, _, k = coils.shape
-    img = img.reshape(dx, lp, dy, lq, -1).transpose(1, 3, 0, 2, 4).reshape(lp, lq, k, -1)
-    samples = coils @ img  # img names the tiled copy: a temporary argument can go first
-    np.fft.fft2(samples, axes=(0, 1), norm="ortho", out=samples)
-    samples *= weight[:, :, None, :]
-    return samples
+    def scatter(self, samples):
+        """(C, P, Q, T) data holding ``samples``, 0 off the lattice."""
+        if self.kspace:
+            return samples[None, :, :, :]
+        b = np.zeros((samples.shape[2],) + self.mask.shape, dtype=np.complex128)
+        b[:, :: self.step[0], :: self.step[1]] = np.moveaxis(samples, 2, 0)
+        return b
 
+    def to_domain(self, x):
+        """A k-space volume on the domain of ``apply``: x itself, or a new F^H x."""
+        return x if self.kspace else np.fft.ifft2(x, axes=(0, 1), norm="ortho")
 
-def _image_adjoint(samples, lattice):
-    """sum_c conj(S_c) F^H M d_c as a (P, Q, T) image, the adjoint of ``_coil_forward``.
-    Overwrites ``samples``; one matmul per lattice pixel unfolds all coils' aliases."""
-    (dx, dy), weight, coils = lattice
-    lp, lq, _, t = samples.shape
-    samples *= weight[:, :, None, :]
-    np.fft.ifftn(samples, axes=(0, 1), norm="ortho", out=samples)  # ifft2 ignores out=
-    aliases = np.conj(coils).swapaxes(2, 3) @ samples
-    del samples  # Python 3.11+ frees a temporary argument here, before the tiled copy
-    return aliases.reshape(lp, lq, dx, dy, t).transpose(2, 0, 3, 1, 4).reshape(dx * lp, dy * lq, t)
+    def to_kspace(self, z):
+        """The inverse of ``to_domain``; overwrites z."""
+        return z if self.kspace else np.fft.fft2(z, axes=(0, 1), norm="ortho", out=z)
+
+    def apply(self, img):
+        """A img as new samples: one matmul per lattice pixel folds and coil-weights
+        its aliases, one fft2 takes all coils."""
+        if self.kspace:
+            return img * self.mask
+        (dx, dy), (lp, lq, _, k) = self.step, self.coils.shape
+        img = img.reshape(dx, lp, dy, lq, -1).transpose(1, 3, 0, 2, 4).reshape(lp, lq, k, -1)
+        samples = self.coils @ img  # img names the tiled copy: a temporary argument can go first
+        np.fft.fft2(samples, axes=(0, 1), norm="ortho", out=samples)
+        samples *= self.weight[:, :, None, :]
+        return samples
+
+    def adjoint(self, samples):
+        """A* samples, sum_c conj(S_c) F^H M d_c on the lattice; overwrites
+        ``samples``.  One matmul per lattice pixel unfolds all coils' aliases."""
+        if self.kspace:
+            samples *= self.mask
+            return samples
+        (dx, dy), (lp, lq, _, t) = self.step, samples.shape
+        samples *= self.weight[:, :, None, :]
+        np.fft.ifftn(samples, axes=(0, 1), norm="ortho", out=samples)  # ifft2 ignores out=
+        aliases = np.conj(self.coils).swapaxes(2, 3) @ samples
+        del samples  # Python 3.11+ frees a temporary argument here, before the tiled copy
+        return aliases.reshape(lp, lq, dx, dy, t).transpose(2, 0, 3, 1, 4).reshape(
+            dx * lp, dy * lq, t)
 
 
 def forward(rho_hat, maps, mask):
-    """Forward operator: b_ct = mask_t * DFT2(S_c * IDFT2(rho_hat_t)).
-
-    With a single uniform coil this reduces to masking, taken literally so
-    the fully sampled single-coil path is exact to the bit.  Otherwise one fft2
-    covers all coils at the size of the mask's k-space lattice (``_lattice``).
-    """
-    if _uniform_single_coil(maps):
-        return (rho_hat * mask)[None, :, :, :]
-    lattice = _lattice(mask, maps)
-    (dx, dy), _, _ = lattice
-    samples = _coil_forward(np.fft.ifft2(rho_hat, axes=(0, 1), norm="ortho"), lattice)
-    b = np.zeros((len(maps),) + mask.shape, dtype=np.complex128)
-    b[:, ::dx, ::dy] = np.moveaxis(samples, 2, 0)
-    return b
+    """Forward operator: b_ct = mask_t * DFT2(S_c * IDFT2(rho_hat_t)); a plain
+    mask multiply for one uniform coil, so full sampling is exact to the bit."""
+    a = Sampling(maps, mask)
+    return a.scatter(a.apply(a.to_domain(rho_hat)))
 
 
 def adjoint(b, maps, mask):
     """Adjoint of ``forward``, a (P, Q, T) k-t volume; with C = 1 and a full
     mask this is the identity."""
-    b = np.asarray(b, dtype=np.complex128)
-    if _uniform_single_coil(maps):
-        return b[0] * mask
-    lattice = _lattice(mask, maps)
-    (dx, dy), _, _ = lattice
-    combined = _image_adjoint(np.moveaxis(b[:, ::dx, ::dy], 0, 2).copy(), lattice)
-    return np.fft.fft2(combined, axes=(0, 1), norm="ortho", out=combined)
+    a = Sampling(maps, mask)
+    return a.to_kspace(a.adjoint(a.gather(np.asarray(b))))
 
 
 def add_noise(b, mask, sigma: float, seed: int = 0):

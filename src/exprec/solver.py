@@ -169,12 +169,6 @@ def _data_residual_sq(x, meas):
     return float(np.vdot(resid, resid).real)
 
 
-def _data_normal(z, lattice):
-    """sum_c conj(S_c) F^H M F (S_c z) on an image-domain volume; the coils'
-    lattice samples take the mask weight twice in place, no copy beside them."""
-    return simulate._image_adjoint(simulate._coil_forward(z, lattice), lattice)
-
-
 def _jacobi_inverse(block, lam_mask):
     """Inverse diagonal of ``apply_normal(block, .) + lam_mask``; 1 where it is 0.
 
@@ -188,73 +182,49 @@ def _jacobi_inverse(block, lam_mask):
     return inv
 
 
-def _rhs(meas, lam, lattice):
-    """lam A* meas.b, checked finite: in k-space for one uniform coil (``lattice``
-    None), else in the image domain at the lattice.  Callers pass it inline to
-    ``cg_solve``, which frees it after the first residual."""
-    if lattice is None:
-        rhs = lam * (meas.b[0] * meas.mask)
-    else:
-        (dx, dy), _, _ = lattice
-        # a copy for the adjoint to overwrite and free
-        rhs = lam * simulate._image_adjoint(np.moveaxis(meas.b[:, ::dx, ::dy], 0, 2).copy(),
-                                            lattice)
+def _rhs(meas, lam, sampling):
+    """lam A* meas.b on the domain of ``sampling``, checked finite.  Callers
+    pass it inline to ``cg_solve``, which frees it after the first residual."""
+    rhs = lam * sampling.adjoint(sampling.gather(meas.b))
     require_finite("ls_update right-hand side lam * A* meas.b", rhs)
     return rhs
 
 
-def ls_update(
-    block,
-    meas,
-    lam: float,
-    warm_start=None,
-    cg_iters: int = 200,
-    cg_tol: float = 1e-8,
-):
+def ls_update(block, meas, lam: float, warm_start=None, cg_iters: int = 200,
+              cg_tol: float = 1e-8):
     """Solve (N + lam A* A) x = lam A* b by warm-started CG.
 
-    N is the penalty normal operator of ``block``, the (P, Q, T, T) output
-    of ``fastops.build_normal_multipliers`` over the valid linear window.
-
-    With one uniform coil A* A is the k-space mask M, so CG runs in k-space
-    on ``apply_normal + lam M`` (one FFT pair per iteration), preconditioned
-    by that operator's exact diagonal.  With several coils CG runs
-    unpreconditioned on the unitary change of variables z = F^H x: the
-    penalty is a per-pixel matmul, the data term one batched FFT pair over
-    all coils at the size of the mask's k-space lattice (``simulate._lattice``,
-    found once here).  Returns the ``CgResult``, its ``x`` in k-space; the
-    quadratic objective there never exceeds its value at the warm start.
+    N is the penalty normal operator of ``block``, the (P, Q, T, T) output of
+    ``fastops.build_normal_multipliers`` over the valid linear window.  CG runs
+    on the domain of the sampling operator ``simulate.Sampling``.  For one
+    uniform coil that is k-space, where A* A is the mask M: ``apply_normal +
+    lam M`` (one FFT pair per iteration), preconditioned by its exact diagonal.
+    Otherwise it is z = F^H x (F unitary): a per-pixel penalty matmul and one
+    batched FFT pair over all coils at the mask's lattice, unpreconditioned.
+    Returns the ``CgResult``, its ``x`` in k-space; the quadratic objective
+    there never exceeds its value at the warm start.
     """
-    mask = meas.mask
-    single = simulate._uniform_single_coil(meas.maps)
-    lattice = None if single else simulate._lattice(mask, meas.maps)
-    x0 = None
-    if warm_start is not None:
-        x0 = np.asarray(warm_start, dtype=np.complex128)
+    a = simulate.Sampling(meas.maps, meas.mask)
+    x0 = None if warm_start is None else np.asarray(warm_start, dtype=np.complex128)
+    if x0 is not None:
         require_finite("ls_update warm_start", x0)
+    lam_mask = lam * meas.mask if a.kspace else None  # lam A* A in one pass
+    inv_diag = _jacobi_inverse(block, lam_mask) if a.kspace else None
+    penalty = fastops.apply_normal if a.kspace else fastops.apply_block
 
-    if single:
-        lam_mask = lam * mask
-
-        def op(x):
-            d = fastops.apply_normal(block, x)
-            d += lam_mask * x
-            return d
-
-        inv_diag = _jacobi_inverse(block, lam_mask)
-        return cg_solve(op, _rhs(meas, lam, lattice), x0=x0, tol=cg_tol, maxiter=cg_iters,
-                        inv_diag=inv_diag)
-
-    def op(z):
-        d = _data_normal(z, lattice)
-        d *= lam
-        d += fastops.apply_block(block, z)
+    def op(v):  # the data term first: its transient peaks before the penalty's result exists
+        if a.kspace:
+            d = lam_mask * v
+        else:
+            d = a.adjoint(a.apply(v))
+            d *= lam
+        d += penalty(block, v)
         return d
 
-    # the image-domain warm start is passed inline, so cg_solve frees it once copied
-    result = cg_solve(op, _rhs(meas, lam, lattice), tol=cg_tol, maxiter=cg_iters,
-                      x0=None if x0 is None else np.fft.ifft2(x0, axes=(0, 1), norm="ortho"))
-    result.x = np.fft.fft2(result.x, axes=(0, 1), norm="ortho")
+    # a warm start moved to the image domain is passed inline, so cg_solve frees it once copied
+    result = cg_solve(op, _rhs(meas, lam, a), tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag,
+                      x0=None if x0 is None else a.to_domain(x0))
+    result.x = a.to_kspace(result.x)
     return result
 
 

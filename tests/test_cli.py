@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +304,38 @@ class TestErrors:
         assert "internal error" not in err
         assert not (out / "meas.ktar").exists()
 
+    def test_data_too_large_to_square_is_data_error(self, tmp_path, capsys):
+        # sigma 1e300 is a valid absolute noise level whose finite samples
+        # overflow once squared: the recon's Gram turned them into a zheevr
+        # failure (exit 70).  Every recon method refuses them as it reads them
+        bad = dict(TINY, noise={"sigma": 1e300, "relative": False})
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", path, "--out", out) == 0
+        capsys.readouterr()
+        for method in ("zerofill", "ktlr", "proposed"):
+            assert run("recon", "--config", path, "--out", out, "--method", method) == 65
+            err = capsys.readouterr().err
+            assert "meas.ktar holds values too large to square and sum" in err, (method, err)
+            assert not (out / f"recon_{method}.ktar").exists()
+
+    def test_lam_that_overflows_the_data_term_is_data_error(self, tmp_path, capsys):
+        # 0.5 lam ||A x - b||^2 must be a float: lam 1e308 made the CG
+        # right-hand side infinite (exit 70); only proposed reads lam
+        bad = json.loads(json.dumps(TINY))
+        bad["solver"]["lam"] = 1e308
+        path = tmp_path / "lam.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", path, "--out", out) == 0
+        assert run("recon", "--config", path, "--out", out, "--method", "zerofill") == 0
+        capsys.readouterr()
+        assert run("recon", "--config", path, "--out", out, "--method", "proposed") == 65
+        err = capsys.readouterr().err
+        assert "/solver/lam: 1e+308 times the squared norm of" in err and "meas.ktar" in err, err
+        assert not (out / "recon_proposed.ktar").exists()
+
     @pytest.mark.parametrize("changes", [
         {"grid": {"p": 12}, "filter": {"n1": 9}},
         {"grid": {"t": 8}},
@@ -486,3 +523,111 @@ class TestPgmContent:
         blob = (tmp_path / "w.pgm").read_bytes()
         words = np.frombuffer(blob.rpartition(b"65535\n")[2], dtype=">u2")
         assert list(words) == [0, 32768, 65535]
+
+
+# the values a mutation may put at a key: each non-finite, boundary and
+# extreme number, a string and a boolean (a wrong JSON type for every number key)
+MUTATION_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 1e308, "1", True]
+# keys whose effective value sets a size or an iteration count; a mutated
+# config runs only if each stays at or below the tiny config's value
+SIZE_KEYS = [("grid", "p"), ("grid", "q"), ("grid", "t"), ("coils", "count"),
+             ("filter", "n1"), ("filter", "n2"), ("filter", "nt"), ("phantom", "l"),
+             ("solver", "outer_iters"), ("solver", "cg_iters"), ("ktlr", "iters")]
+STAGES = [["simulate"]] + [[cmd, "--method", m] for m in ("zerofill", "ktlr", "proposed")
+                           for cmd in ("recon", "fit", "eval")]
+
+
+def _filled_tiny():
+    from exprec.config import ExperimentConfig
+
+    return ExperimentConfig.from_doc(TINY).doc
+
+
+def _single_mutations():
+    """Every (op, key path, value): each pool value and a deletion at every key
+    of the filled-in tiny config, sections included, and an extra key in the
+    doc and in every section."""
+    doc = _filled_tiny()
+    paths = [(k,) for k in doc] + [(k, k2) for k, v in doc.items() if isinstance(v, dict)
+                                   for k2 in v]
+    sections = [()] + [(k,) for k, v in doc.items() if isinstance(v, dict)]
+    return ([("set", path, v) for path in paths for v in MUTATION_VALUES]
+            + [("delete", path, None) for path in paths]
+            + [("extra", path, None) for path in sections])
+
+
+def _mutated(mutations):
+    doc = _filled_tiny()
+    for op, path, value in mutations:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        target = parent.get(path[-1]) if path and isinstance(parent, dict) else parent
+        if op == "extra" and isinstance(target, dict):
+            target["unexpected"] = 1
+        elif op == "delete" and isinstance(parent, dict):
+            parent.pop(path[-1], None)
+        elif op == "set" and isinstance(parent, dict):
+            parent[path[-1]] = value
+    return doc
+
+
+def _within_tiny(doc):
+    """False if the doc loads and sets a size or iteration count above the tiny config's."""
+    from exprec.config import ConfigError, ExperimentConfig
+
+    try:
+        cfg = ExperimentConfig.from_doc(doc)
+    except ConfigError:
+        return True  # refused before any stage runs
+    tiny = _filled_tiny()
+    return all(cfg.doc[s][k] <= tiny[s][k] for s, k in SIZE_KEYS)
+
+
+def _contract_breaches(doc):
+    """Run every stage on ``doc``; each exit that is not 0, 2 or 65, and each
+    65 whose message names neither a JSON pointer nor a file."""
+    breaches = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "config.json").write_text(json.dumps(doc))
+        for stage in STAGES:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main([*stage, "--config", str(root / "config.json"),
+                             "--out", str(root / "o")])
+            message = err.getvalue().replace(str(root), "<dir>")
+            named = "<dir>" in message or re.search(r"(^|\s)/\w+(/\w+)*:", message)
+            if code not in (0, 2, 65) or (code == 65 and not named):
+                breaches.append((" ".join(stage), code, message.strip()))
+            if code == 65 and stage == ["simulate"]:
+                break
+    return breaches
+
+
+class TestExitCodeContract:
+    """Whatever a config holds, simulate, recon (every method), fit and eval
+    exit 0, 2 or 65 (bad data), never 70, and each 65 names a JSON pointer of
+    the config or a file.  Sizes and iteration counts never exceed the tiny
+    config's."""
+
+    def test_every_single_mutation(self):
+        breaches = [(m, b) for m in _single_mutations()
+                    if _within_tiny(doc := _mutated([m])) for b in _contract_breaches(doc)]
+        assert breaches == []
+
+    def test_mutation_pairs(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import assume, given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+        @given(st.lists(st.sampled_from(_single_mutations()), min_size=2, max_size=2))
+        def check(mutations):
+            doc = _mutated(mutations)
+            assume(_within_tiny(doc))
+            assert _contract_breaches(doc) == []
+
+        check()

@@ -177,13 +177,13 @@ class TestKtLowRank:
         g = Grid(8, 8, 4)
         _, _, meas = make_measurements(g, fraction=0.5, c=2, seed=3)
         calls = []
-        real_forward = simulate._coil_forward
+        real_apply = simulate.Sampling.apply
 
-        def counting_forward(*args, **kwargs):
+        def counting_apply(*args, **kwargs):
             calls.append(1)
-            return real_forward(*args, **kwargs)
+            return real_apply(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_coil_forward", counting_forward)
+        monkeypatch.setattr(simulate.Sampling, "apply", counting_apply)
         res = recon_ktlowrank(meas, mu=0.05, iters=iters)
         assert len(calls) == iters + 1
         assert len(res.objective_trace) == iters

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -147,3 +148,20 @@ def test_fastops_functions_are_reached_by_recon(monkeypatch):
         vol, _ = solver.irls_solve(meas, spec, cfg)
         assert np.all(np.isfinite(vol))
     assert sorted(n for n, count in calls.items() if count == 0) == []
+
+
+@pytest.mark.parametrize("module", ["solver", "mapping"])
+def test_no_private_simulate_names(module):
+    # the sampling operator's internals stay behind ``simulate.Sampling``:
+    # no ``simulate._name`` attribute and no ``from .simulate import _name``
+    tree = ast.parse((ROOT / "src" / "exprec" / f"{module}.py").read_text(encoding="utf-8"))
+    private = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "simulate" and node.attr.startswith("_")
+    ] + [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("simulate")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

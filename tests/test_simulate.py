@@ -6,9 +6,10 @@ import pytest
 
 from exprec.core import Grid, dft2_forward
 from exprec.lifting import FilterSpec, annihilation_certificate, build_lifted
-from exprec import simulate, solver
+from exprec import simulate
 from exprec.simulate import (
     PhantomSpec,
+    Sampling,
     add_noise,
     adjoint,
     forward,
@@ -227,8 +228,8 @@ class TestLatticeOperator:
         g, step = self.CASES[kind]
         mask = self._mask(kind, g)
         coils = self._coils(c, g)
-        lattice = simulate._lattice(mask, coils)
-        assert lattice[0] == step
+        sampling = Sampling(coils, mask)
+        assert not sampling.kspace and sampling.step == step
         rng = np.random.default_rng(5)
         x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
         y = rng.standard_normal((c, *g.shape)) + 1j * rng.standard_normal((c, *g.shape))
@@ -240,7 +241,30 @@ class TestLatticeOperator:
         # the data term acts on z = F^H x, the image-domain CG variable
         z = np.fft.ifft2(x, axes=(0, 1), norm="ortho")
         want = np.fft.ifft2(_literal_adjoint(fwd, coils, mask), axes=(0, 1), norm="ortho")
-        assert _rel(solver._data_normal(z, lattice), want) <= 1e-13
+        assert _rel(sampling.adjoint(sampling.apply(z)), want) <= 1e-13
+
+    def test_uniform_coil_runs_in_kspace(self):
+        # one uniform coil takes the mask itself and builds no lattice
+        g = Grid(8, 8, 3)
+        mask = make_mask(g, "vd_cartesian", 6.0, seed=2, center_block=4)
+        sampling = Sampling(make_coils(g, 1), mask)
+        assert sampling.kspace and sampling.coils is None and sampling.weight is None
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        assert sampling.to_domain(x) is x and sampling.to_kspace(x) is x
+        assert np.array_equal(sampling.adjoint(sampling.apply(x)), x * mask)
+
+    def test_gather_scatter_round_trip(self):
+        g, _ = self.CASES["vd_cartesian"]
+        mask = self._mask("vd_cartesian", g)
+        coils = self._coils(3, g)
+        sampling = Sampling(coils, mask)
+        b = forward(np.ones(g.shape, dtype=complex), coils, mask)
+        samples = sampling.gather(b)
+        assert samples.shape == (g.p // 2, g.q // 2, 3, g.t)
+        assert np.array_equal(sampling.scatter(samples), b)
+        samples[...] = 0  # a copy: the data stays
+        assert np.array_equal(sampling.scatter(sampling.gather(b)), b)
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's frame "
                         "keeps a temporary argument alive, so the adjoint cannot free it")
@@ -251,15 +275,15 @@ class TestLatticeOperator:
         g = Grid(64, 64, 12)  # fig6_desk's grid, coils and lattice
         mask = make_mask(g, "vd_cartesian", 12.0, seed=2)
         coils = make_coils(g, 4, seed=1)
-        lattice = simulate._lattice(mask, coils)
-        assert lattice[0] == (2, 2)
+        sampling = Sampling(coils, mask)
+        assert sampling.step == (2, 2)
         rng = np.random.default_rng(5)
         z = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        solver._data_normal(z, lattice)  # FFT plans are cached on the first call
+        sampling.adjoint(sampling.apply(z))  # FFT plans are cached on the first call
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = solver._data_normal(z, lattice)
+            out = sampling.adjoint(sampling.apply(z))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
