@@ -54,6 +54,7 @@ if __name__ == "__main__":
     if len(sys.argv) > 2:
         sys.exit(__doc__.strip().splitlines()[-1])
     os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")  # before numpy loads
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     root = Path(sys.argv[1] if len(sys.argv) == 2 else "out/check_hashes")
     for preset, changes in CHECKS.items():
         run_check(preset, changes, root / preset)

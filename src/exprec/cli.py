@@ -77,30 +77,32 @@ def _overflows(scale, data):
         return not np.isfinite(scale * np.vdot(data, data).real)
 
 
-def _require_finite(path, data):
-    """DataError naming ``path`` unless every value of ``data`` is finite."""
+def _require_usable(path, data):
+    """DataError naming ``path`` unless every value of ``data`` is finite and
+    their squared norm times their count is finite too: recon squares them."""
     from .core import require_finite
 
     try:
         require_finite(str(path), data)
     except ValueError:
         raise DataError(f"{path} holds a non-finite value") from None
+    if _overflows(data.size, data):  # the Gram's unnormalized DFT cross-powers reach this
+        raise DataError(f"{path} holds values too large to square and sum")
 
 
 def _write(outdir, name, data, cfg):
-    """Write one pipeline array stamped with ``cfg.config_hash``; a non-finite
-    array is refused before its file is made."""
+    """Write one pipeline array stamped with ``cfg.config_hash``; an array
+    that ``_read`` would refuse is refused before its file is made."""
     from . import ktar
 
-    _require_finite(outdir / name, data)
+    _require_usable(outdir / name, data)
     outdir.mkdir(parents=True, exist_ok=True)
     ktar.write_array(outdir / name, data, meta={"config_hash": cfg.config_hash})
 
 
 def _read(outdir, name, shape, cfg):
     """One pipeline array, which must fit ``shape`` (None on an axis of any
-    length), be stamped with ``cfg.config_hash`` and hold only finite values,
-    whose squared norm times their count is finite too: recon squares them."""
+    length), be stamped with ``cfg.config_hash`` and pass ``_require_usable``."""
     from . import ktar
 
     path = outdir / name
@@ -115,9 +117,7 @@ def _read(outdir, name, shape, cfg):
             f"{path} was written under config hash {stamp}, "
             f"but this run's config hash is {cfg.config_hash}"
         )
-    _require_finite(path, data)
-    if _overflows(data.size, data):  # the Gram's unnormalized DFT cross-powers reach this
-        raise DataError(f"{path} holds values too large to square and sum")
+    _require_usable(path, data)
     return data
 
 
@@ -166,10 +166,10 @@ def cmd_simulate(cfg, outdir):
     noise = cfg.doc["noise"]
     meas = simulate_measurements(dft2_forward(ph.series), maps, mask, sigma=noise["sigma"],
                                  seed=seeds["noise"], relative=noise["relative"])
+    _write(outdir, "meas.ktar", meas.b, cfg)  # first: it is the array most likely refused
     _write_phantom(cfg, outdir, ph)
     _write(outdir, "coils.ktar", maps, cfg)
     _write(outdir, "mask.ktar", mask.astype("<f4"), cfg)
-    _write(outdir, "meas.ktar", meas.b, cfg)
     return EXIT_OK
 
 
@@ -202,7 +202,11 @@ def cmd_recon(cfg, outdir, method):
         zf = recon_zerofill(meas)
         p, q, t = cfg.grid.shape
         smax = float(np.linalg.svd(zf.reshape(p * q, t), compute_uv=False)[0])
-        result = recon_ktlowrank(meas, mu=kcfg["mu_rel"] * smax, iters=kcfg["iters"])
+        mu = kcfg["mu_rel"] * smax
+        if not np.isfinite(mu):
+            raise ConfigError(f"invalid config: /ktlr/mu_rel: {kcfg['mu_rel']!r} times the "
+                              f"largest singular value of the zero-fill recon overflows")
+        result = recon_ktlowrank(meas, mu=mu, iters=kcfg["iters"])
         vol = result.volume
         trace = result.objective_trace
         lines = ["iter,objective"] + [f"{i + 1},{v!r}" for i, v in enumerate(trace)]

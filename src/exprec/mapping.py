@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import simulate
+from . import fastops, simulate
 from .simulate import Measurements, adjoint
 
 __all__ = [
@@ -120,9 +120,11 @@ class KtlrResult:
 
 
 def _svt(mat, thresh):
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    s = np.maximum(s - thresh, 0.0)
-    return (u * s) @ vh, s
+    """(mat V diag(sv / s) V*, sv = max(s - thresh, 0)), mat* mat = V diag(s^2) V*."""
+    lam, v = fastops.eigh_overwrite(mat.conj().T @ mat)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    sv = np.maximum(s - thresh, 0.0)
+    return mat @ ((v * (sv / np.where(s > 0, s, 1.0))) @ v.conj().T), sv
 
 
 def recon_ktlowrank(meas: Measurements, mu: float, *, iters: int) -> KtlrResult:
@@ -134,6 +136,12 @@ def recon_ktlowrank(meas: Measurements, mu: float, *, iters: int) -> KtlrResult:
     F, so ISTA runs on the domain of ``simulate.Sampling``: k-space x for one
     uniform coil (A is the mask), else z = F^H x with b gathered once onto the
     mask's k-space lattice (b is 0 off it).
+
+    Each sweep thresholds the Casorati matrix M through its T x T Gram
+    M* M = V diag(s^2) V*, as M V diag(max(s - mu, 0) / s) V*: one T x T
+    eigensolve, no PQ x T SVD.  An eigenvalue is off by about eps smax^2, so
+    a sweep is accurate to about eps smax / (2 mu) relative: 3e-15 at
+    mu = 0.02 smax, 6e-11 at 1e-6 smax.  mu above smax gives exact zeros.
     """
     if mu < 0 or iters < 1:
         raise ValueError("need mu >= 0 and iters >= 1")

@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -304,21 +306,48 @@ class TestErrors:
         assert "internal error" not in err
         assert not (out / "meas.ktar").exists()
 
-    def test_data_too_large_to_square_is_data_error(self, tmp_path, capsys):
+    def test_data_too_large_to_square_is_data_error(self, tmp_path, tiny_config, capsys):
+        # finite samples that overflow once squared turned the recon's Gram
+        # into a zheevr failure (exit 70).  Every recon method refuses them as
+        # it reads them; simulate no longer writes them, so they are put in place
+        out = tmp_path / "o"
+        assert run("simulate", "--config", tiny_config, "--out", out) == 0
+        header, b = ktar.read_array(out / "meas.ktar")
+        ktar.write_array(out / "meas.ktar", b * 1e300, meta=header.meta)
+        capsys.readouterr()
+        for method in ("zerofill", "ktlr", "proposed"):
+            assert run("recon", "--config", tiny_config, "--out", out, "--method", method) == 65
+            err = capsys.readouterr().err
+            assert "meas.ktar holds values too large to square and sum" in err, (method, err)
+            assert not (out / f"recon_{method}.ktar").exists()
+
+    def test_simulate_refuses_data_too_large_to_square(self, tmp_path, capsys):
         # sigma 1e300 is a valid absolute noise level whose finite samples
-        # overflow once squared: the recon's Gram turned them into a zheevr
-        # failure (exit 70).  Every recon method refuses them as it reads them
+        # every recon refuses: simulate refuses them before meas.ktar is made
         bad = dict(TINY, noise={"sigma": 1e300, "relative": False})
         path = tmp_path / "loud.json"
         path.write_text(json.dumps(bad))
         out = tmp_path / "o"
+        assert run("simulate", "--config", path, "--out", out) == 65
+        err = capsys.readouterr().err
+        assert "meas.ktar holds values too large to square and sum" in err, err
+        assert not (out / "meas.ktar").exists()
+
+    def test_mu_that_overflows_is_data_error(self, tmp_path, capsys):
+        # mu = mu_rel * smax overflowed to inf: every singular value was
+        # zeroed, the objective was inf * 0 and ktlr exited 0 with a NaN report
+        bad = json.loads(json.dumps(TINY))
+        bad["ktlr"]["mu_rel"] = 1e308
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "o"
         assert run("simulate", "--config", path, "--out", out) == 0
         capsys.readouterr()
-        for method in ("zerofill", "ktlr", "proposed"):
-            assert run("recon", "--config", path, "--out", out, "--method", method) == 65
-            err = capsys.readouterr().err
-            assert "meas.ktar holds values too large to square and sum" in err, (method, err)
-            assert not (out / f"recon_{method}.ktar").exists()
+        assert run("recon", "--config", path, "--out", out, "--method", "ktlr") == 65
+        err = capsys.readouterr().err
+        assert "/ktlr/mu_rel: 1e+308 times the largest singular value" in err, err
+        assert not (out / "recon_ktlr.ktar").exists()
+        assert not (out / "report_ktlr.csv").exists()
 
     def test_lam_that_overflows_the_data_term_is_data_error(self, tmp_path, capsys):
         # 0.5 lam ||A x - b||^2 must be a float: lam 1e308 made the CG
@@ -584,14 +613,35 @@ def _within_tiny(doc):
     return all(cfg.doc[s][k] <= tiny[s][k] for s, k in SIZE_KEYS)
 
 
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.glob("*")} if out.is_dir() else {}
+
+
+def _non_finite(path):
+    """Whether the output file holds a NaN or an infinity: a .ktar payload,
+    or a number in a CSV column other than config_hash."""
+    if path.suffix == ".ktar":
+        return not np.isfinite(ktar.read_array(path)[1]).all()
+    for row in csv.DictReader(io.StringIO(path.read_text())):
+        for key, cell in row.items():
+            try:
+                if key != "config_hash" and not math.isfinite(float(cell)):
+                    return True
+            except ValueError:
+                continue
+    return False
+
+
 def _contract_breaches(doc):
-    """Run every stage on ``doc``; each exit that is not 0, 2 or 65, and each
-    65 whose message names neither a JSON pointer nor a file."""
+    """Run every stage on ``doc``; each exit that is not 0, 2 or 65, each 65
+    whose message names neither a JSON pointer nor a file, and each file that
+    a stage exiting 0 or 2 wrote with a non-finite number in it."""
     breaches = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "config.json").write_text(json.dumps(doc))
         for stage in STAGES:
+            before = _files(root / "o")
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
                     warnings.catch_warnings():
@@ -602,6 +652,10 @@ def _contract_breaches(doc):
             named = "<dir>" in message or re.search(r"(^|\s)/\w+(/\w+)*:", message)
             if code not in (0, 2, 65) or (code == 65 and not named):
                 breaches.append((" ".join(stage), code, message.strip()))
+            if code in (0, 2):
+                breaches += [(" ".join(stage), code, f"{name} holds a non-finite number")
+                             for name, blob in _files(root / "o").items()
+                             if before.get(name) != blob and _non_finite(root / "o" / name)]
             if code == 65 and stage == ["simulate"]:
                 break
     return breaches
@@ -610,7 +664,8 @@ def _contract_breaches(doc):
 class TestExitCodeContract:
     """Whatever a config holds, simulate, recon (every method), fit and eval
     exit 0, 2 or 65 (bad data), never 70, and each 65 names a JSON pointer of
-    the config or a file.  Sizes and iteration counts never exceed the tiny
+    the config or a file.  On 0 or 2, every file the stage wrote holds only
+    finite numbers.  Sizes and iteration counts never exceed the tiny
     config's."""
 
     def test_every_single_mutation(self):

@@ -129,6 +129,69 @@ class TestZerofill:
         assert np.array_equal(rec, want)
 
 
+def svd_svt(mat, thresh):
+    """Singular value thresholding by the SVD: the reference for ``mapping._svt``."""
+    u, sv, vh = np.linalg.svd(mat, full_matrices=False)
+    sv = np.maximum(sv - thresh, 0.0)
+    return (u * sv) @ vh, sv
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestSvt:
+    """``mapping._svt`` thresholds through the T x T Gram; the SVD is the oracle."""
+
+    @staticmethod
+    def low_rank_plus_noise(n, t, rank, noise, seed):
+        rng = np.random.default_rng(seed)
+        low = complex_normal(rng, (n, rank)) @ complex_normal(rng, (rank, t))
+        return low + noise * complex_normal(rng, (n, t))
+
+    @staticmethod
+    def graded(n, t, seed):
+        """Singular values 1 .. 1e-7, log-spaced: some sit near every threshold."""
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(complex_normal(rng, (n, t)))
+        v, _ = np.linalg.qr(complex_normal(rng, (t, t)))
+        return (u * np.logspace(0, -7, t)) @ v.conj().T
+
+    @pytest.mark.parametrize("name, mat", [
+        ("fig6_casorati", low_rank_plus_noise(4096, 12, 3, 0.05, seed=0)),
+        ("rank_3", low_rank_plus_noise(300, 12, 3, 0.0, seed=1)),
+        ("wide", low_rank_plus_noise(6, 10, 6, 0.0, seed=2)),
+        ("graded", graded(200, 12, seed=7)),
+    ])
+    @pytest.mark.parametrize("mu_rel, tol", [(0.02, 1e-12), (0.3, 1e-12), (1e-6, 1e-10)])
+    def test_matches_svd(self, name, mat, mu_rel, tol):
+        smax = np.linalg.svd(mat, compute_uv=False)[0]
+        want, want_sv = svd_svt(mat, mu_rel * smax)
+        got, sv = mapping._svt(mat, mu_rel * smax)
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want), name
+        # the Gram has T eigenvalues; beyond min(n, T) they are 0 after thresholding
+        top = np.sort(sv)[::-1][:want_sv.size]
+        assert np.abs(top - want_sv).max() <= tol * smax
+        assert np.count_nonzero(np.sort(sv)[::-1][want_sv.size:]) == 0
+
+    @pytest.mark.parametrize("name, mat", [
+        ("fig6_casorati", low_rank_plus_noise(4096, 12, 3, 0.05, seed=3)),
+        ("rank_3", low_rank_plus_noise(300, 12, 3, 0.0, seed=4)),
+        ("wide", low_rank_plus_noise(6, 10, 6, 0.0, seed=5)),
+    ])
+    def test_zero_threshold_is_identity(self, name, mat):
+        got, _ = mapping._svt(mat, 0.0)
+        assert np.linalg.norm(got - mat) <= 1e-12 * np.linalg.norm(mat), name
+
+    @pytest.mark.parametrize("factor", [1 + 1e-9, 2.0, 1e6])
+    def test_threshold_above_smax_gives_exact_zeros(self, factor):
+        mat = self.low_rank_plus_noise(500, 12, 3, 0.05, seed=6)
+        smax = np.linalg.svd(mat, compute_uv=False)[0]
+        got, sv = mapping._svt(mat, factor * smax)
+        assert np.abs(got).max() == 0.0
+        assert np.abs(sv).max() == 0.0
+
+
 class TestKtLowRank:
     def test_rank_one_series_recovered(self):
         g = Grid(8, 8, 6, dt=10.0)
@@ -189,7 +252,7 @@ class TestKtLowRank:
         assert len(res.objective_trace) == iters
 
     @staticmethod
-    def reference_ktlr(meas, mu, iters):
+    def reference_ktlr(meas, mu, iters, svt=svd_svt):
         """ISTA in k-space through the public forward/adjoint pair."""
         p, q, t = meas.b.shape[1:]
         x = np.zeros((p, q, t), dtype=np.complex128)
@@ -197,18 +260,22 @@ class TestKtLowRank:
         resid = simulate.forward(x, meas.maps, meas.mask) - meas.b
         for _ in range(iters):
             grad = simulate.adjoint(resid, meas.maps, meas.mask)
-            u, sv, vh = np.linalg.svd((x - grad).reshape(p * q, t), full_matrices=False)
-            sv = np.maximum(sv - mu, 0.0)
-            x = ((u * sv) @ vh).reshape(p, q, t)
+            xnew, sv = svt((x - grad).reshape(p * q, t), mu)
+            x = xnew.reshape(p, q, t)
             resid = simulate.forward(x, meas.maps, meas.mask) - meas.b
             trace.append(0.5 * float(np.vdot(resid, resid).real) + mu * float(sv.sum()))
         return x, trace
 
     def test_single_coil_matches_kspace_reference_bitwise(self):
+        # the SVD reference is the oracle; the same loop thresholding with
+        # mapping._svt pins the k-space mask arithmetic to the bit
         g = Grid(12, 12, 5)
         _, _, meas = make_measurements(g, fraction=0.4, sigma=0.02, seed=5)
-        x, trace = self.reference_ktlr(meas, 0.05, 25)
         res = recon_ktlowrank(meas, mu=0.05, iters=25)
+        x, trace = self.reference_ktlr(meas, 0.05, 25)
+        assert np.linalg.norm(res.volume - x) <= 1e-12 * np.linalg.norm(x)
+        assert np.allclose(res.objective_trace, trace, rtol=1e-12, atol=0)
+        x, trace = self.reference_ktlr(meas, 0.05, 25, svt=mapping._svt)
         assert np.array_equal(res.volume, x)
         assert np.array_equal(res.objective_trace, trace)
 
