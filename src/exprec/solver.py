@@ -4,9 +4,11 @@ Alternates a weight update (eigendecomposition of the valid-shift Gram
 ``U Lambda U*``, weight matrix ``H = U (Lambda + eps I)^(p/2 - 1) U*``) with
 a weighted least-squares update solved matrix-free by conjugate gradients
 on the normal equations; ``ls_update`` says how CG runs for one coil and
-for several.  The Gram is eigendecomposed by MRRR (LAPACK ``zheevr``, bound
-from numpy's own OpenBLAS by ``fastops.eigh_overwrite``; ``np.linalg.eigh``
-only where numpy has no such LAPACK), eigenvalues alone after the last step.
+for several.  That solve is inexact: CG stops at ``CG_FORCING`` times its warm
+start's residual (the majorizer's gradient) or at ``cg_tol`` of the right-hand
+side, the larger.  MRRR (LAPACK ``zheevr``, bound from numpy's own OpenBLAS by
+``fastops.eigh_overwrite``; ``np.linalg.eigh`` only where numpy has no such
+LAPACK) eigendecomposes the Gram, eigenvalues alone after the last step.
 
 The weights live on one valid-shift set, the valid linear window.  The
 weight Gram, the smoothed objective and the quadratic penalty all refer
@@ -29,19 +31,13 @@ from . import fastops, simulate
 from .core import require_finite
 from .lifting import FilterSpec
 
-__all__ = [
-    "SolverConfig",
-    "SolveReport",
-    "IterRecord",
-    "SolverError",
-    "weight_update",
-    "ls_update",
-    "irls_solve",
-    "cg_solve",
-]
+__all__ = ["SolverConfig", "SolveReport", "IterRecord", "SolverError", "ls_update",
+           "irls_solve", "cg_solve"]
 
 EIG_CLAMP_REL = 1e-8
 OBJ_STOP_REL = 1e-6
+# irls_solve's CG forcing term (Eisenstat & Walker 1996); 1e-2 lost 0.045 dB on fig5_desk
+CG_FORCING = 1e-3
 
 
 class SolverError(RuntimeError):
@@ -72,6 +68,8 @@ class SolverConfig:
 
 def _weights_from_eig(eigvals, eigvecs, eps, p):
     """H = A A* with A = U (Lambda + eps I)^(p/4 - 1/2), Lambda clamped at 0."""
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     lam_max = float(eigvals[-1]) if eigvals.size else 0.0
     if eigvals.size and eigvals[0] < -EIG_CLAMP_REL * max(lam_max, 0.0):
         raise SolverError(
@@ -98,32 +96,28 @@ def _gram_eig(rho_hat, spec, step=None, vectors=True):
         raise SolverError(f"eigendecomposition of the Gram failed{at}: {exc}") from exc
 
 
-def weight_update(rho_hat, spec: FilterSpec, p: float, eps: float):
-    """Eigendecompose the circulant Gram and return the weight matrix H."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    return _weights_from_eig(*_gram_eig(rho_hat, spec), eps, p)
-
-
 @dataclass
 class CgResult:
     x: np.ndarray
     iters: int
     rel_residual: float
     stop: str  # tol, maxiter, nonpositive_curvature or zero_rhs
+    r0_rel: float  # ||rhs - op(x0)|| / ||rhs||, the warm start's relative residual
 
 
-def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult:
+def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None, forcing=0.0) -> CgResult:
     """Conjugate gradients for a Hermitian PSD operator on complex arrays.
 
     ``inv_diag`` is an optional Jacobi preconditioner: the elementwise inverse
     of the operator's diagonal, positive everywhere.  Either way CG stops on
     the unpreconditioned relative residual ``||rhs - op(x)|| / ||rhs||``, which
-    may rise on the way (CG lowers the error's A-norm), so no rise ends it.
+    may rise on the way (CG lowers the error's A-norm), so no rise ends it.  The
+    stop ``"tol"`` is at ``max(tol, forcing * r0_rel)``, r0_rel that ratio at x0:
+    with ``forcing`` below 1, CG takes a step whenever r0_rel exceeds ``tol``.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return CgResult(np.zeros_like(rhs), 0, 0.0, "zero_rhs")
+        return CgResult(np.zeros_like(rhs), 0, 0.0, "zero_rhs", 0.0)
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.complex128, copy=True)
     del x0  # a warm start made for this call is freed here, not held through CG
 
@@ -140,6 +134,8 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult
     z, rz = precondition(r, rs)
     pdir = z.copy()
     res = rs**0.5
+    r0_rel = res / rhs_norm
+    tol = max(tol, forcing * r0_rel)
     it = 0
     stop = None
     while res / rhs_norm > tol and it < maxiter:
@@ -161,7 +157,7 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None) -> CgResult
         rz = rz_new
         it += 1
     stop = stop or ("tol" if res / rhs_norm <= tol else "maxiter")
-    return CgResult(x, it, res / rhs_norm, stop)
+    return CgResult(x, it, res / rhs_norm, stop, r0_rel)
 
 
 def _data_residual_sq(x, meas):
@@ -191,8 +187,9 @@ def _rhs(meas, lam, sampling):
 
 
 def ls_update(block, meas, lam: float, warm_start=None, cg_iters: int = 200,
-              cg_tol: float = 1e-8):
-    """Solve (N + lam A* A) x = lam A* b by warm-started CG.
+              cg_tol: float = 1e-8, cg_forcing: float = 0.0):
+    """Solve (N + lam A* A) x = lam A* b by warm-started CG, stopping at the relative
+    residual ``max(cg_tol, cg_forcing * r0_rel)`` (``cg_solve``'s ``forcing``).
 
     N is the penalty normal operator of ``block``, the (P, Q, T, T) output of
     ``fastops.build_normal_multipliers`` over the valid linear window.  CG runs
@@ -223,7 +220,7 @@ def ls_update(block, meas, lam: float, warm_start=None, cg_iters: int = 200,
 
     # a warm start moved to the image domain is passed inline, so cg_solve frees it once copied
     result = cg_solve(op, _rhs(meas, lam, a), tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag,
-                      x0=None if x0 is None else a.to_domain(x0))
+                      x0=None if x0 is None else a.to_domain(x0), forcing=cg_forcing)
     result.x = a.to_kspace(result.x)
     return result
 
@@ -238,8 +235,9 @@ class IterRecord:
     cg_iters: int
     seconds: float
     # not serialized: the smoothed objective of the previous iterate at this
-    # eps (for monotonicity checks) and how the least-squares CG ended
+    # eps (for monotonicity checks) and how the least-squares CG began and ended
     objective_warm: float = float("nan")
+    cg_r0_rel: float = float("nan")
     cg_rel_residual: float = float("nan")
     cg_stop: str = ""
 
@@ -296,8 +294,8 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
         del eigvecs
         block = fastops.build_normal_multipliers(h, spec)
         del h
-        cg = ls_update(block, meas, cfg.lam, warm_start=x,
-                       cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
+        cg = ls_update(block, meas, cfg.lam, warm_start=x, cg_iters=cfg.cg_iters,
+                       cg_tol=cfg.cg_tol, cg_forcing=CG_FORCING)
         del block
         x = cg.x
         # the last step's Gram feeds only the objective: eigenvalues alone
@@ -316,6 +314,7 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
                 cg_iters=cg.iters,
                 seconds=time.perf_counter() - tic,
                 objective_warm=warm_obj,
+                cg_r0_rel=cg.r0_rel,
                 cg_rel_residual=cg.rel_residual,
                 cg_stop=cg.stop,
             )

@@ -290,8 +290,6 @@ class TestErrors:
             assert f"{name} holds a non-finite value" in err, (method, err)
             assert "internal error" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_output_is_data_error(self, tmp_path, capsys):
         # amp_variation 1e308 is a valid number whose phantom overflows the
         # spatial DFT: the arrays it yields are refused before their file is made
@@ -672,6 +670,22 @@ class TestExitCodeContract:
         breaches = [(m, b) for m in _single_mutations()
                     if _within_tiny(doc := _mutated([m])) for b in _contract_breaches(doc)]
         assert breaches == []
+
+    def test_overflow_prints_only_the_exit_line(self, tmp_path):
+        # a phantom that overflows the spatial DFT: numpy's floating-point
+        # warnings stay off stderr, where the exit-65 message is the one line
+        doc = json.loads(json.dumps(TINY))
+        doc["phantom"]["amp_variation"] = 1e308
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(Path(exprec.__file__).parent.parent),
+               "PYTHONWARNINGS": "default"}
+        argv = [sys.executable, "-m", "exprec.cli", "simulate", "--config", str(config),
+                "--out", str(tmp_path / "o")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 65
+        assert re.fullmatch(r"exprec: \S+\.ktar holds a non-finite value\n", proc.stderr), \
+            proc.stderr
 
     def test_mutation_pairs(self):
         pytest.importorskip("hypothesis")

@@ -13,8 +13,12 @@ from exprec.solver import (
     cg_solve,
     irls_solve,
     ls_update,
-    weight_update,
 )
+
+
+def weight_matrix(x, spec, p, eps):
+    """The weight matrix H that irls_solve builds from the iterate ``x``."""
+    return solver._weights_from_eig(*solver._gram_eig(x, spec), eps, p)
 
 
 def random_volume(grid, seed=0):
@@ -82,7 +86,7 @@ class TestWeightMath:
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 5)
         p, eps = 0.6, 0.1
-        got = weight_update(x, spec, p=p, eps=eps)
+        got = weight_matrix(x, spec, p=p, eps=eps)
         r = fastops.assemble_gram_circulant(x, spec).matrix
         lam, u = np.linalg.eigh(r)
         want = (u * (np.clip(lam, 0, None) + eps) ** (p / 2.0 - 1.0)) @ u.conj().T
@@ -92,7 +96,7 @@ class TestWeightMath:
         g = Grid(4, 4, 3)
         spec = FilterSpec(2, 2, 2, g)
         with pytest.raises(ValueError):
-            weight_update(random_volume(g), spec, p=0.6, eps=-1.0)
+            weight_matrix(random_volume(g), spec, p=0.6, eps=-1.0)
 
     def test_eigen_identity_at_current_iterate(self):
         # sum_i ||A_i x||^2 == sum_j lam_j (lam_j + eps)^(p/2 - 1)
@@ -100,7 +104,7 @@ class TestWeightMath:
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 7)
         p, eps = 0.6, 0.05
-        h = weight_update(x, spec, p=p, eps=eps)
+        h = weight_matrix(x, spec, p=p, eps=eps)
         block = fastops.build_normal_multipliers(h, spec)
         lhs = np.vdot(x, fastops.apply_normal(block, x)).real
         r = fastops.assemble_gram_circulant(x, spec).matrix
@@ -220,6 +224,69 @@ class TestCg:
         assert res.stop == "tol" and len(alive) > 1
         assert alive[0] and not any(alive[1:])
 
+    @staticmethod
+    def _cg_without_forcing(op, rhs, x0, tol, maxiter, inv_diag=None):
+        """(x, iters, stop) of cg_solve's loop as it was before the forcing term."""
+        def precondition(r, rs):
+            if inv_diag is None:
+                return r, rs
+            z = inv_diag * r
+            return z, float(np.vdot(r, z).real)
+
+        rhs_norm = float(np.linalg.norm(rhs))
+        x = np.zeros_like(rhs) if x0 is None else x0.astype(np.complex128, copy=True)
+        r = rhs - op(x)
+        rs = float(np.vdot(r, r).real)
+        z, rz = precondition(r, rs)
+        pdir, res, it = z.copy(), rs**0.5, 0
+        while res / rhs_norm > tol and it < maxiter:
+            ap = op(pdir)
+            denom = float(np.vdot(pdir, ap).real)
+            if denom <= 0:
+                return x, it, "nonpositive_curvature"
+            alpha = rz / denom
+            x += alpha * pdir
+            ap *= alpha
+            r -= ap
+            rs_new = float(np.vdot(r, r).real)
+            res = rs_new**0.5
+            z, rz_new = precondition(r, rs_new)
+            pdir *= rz_new / rz
+            pdir += z
+            rz = rz_new
+            it += 1
+        return x, it, "tol" if res / rhs_norm <= tol else "maxiter"
+
+    @pytest.mark.parametrize("jacobi", [False, True])
+    def test_zero_forcing_is_the_exact_solve(self, jacobi):
+        # forcing 0 leaves cg_solve's iterates untouched, bit for bit
+        m, rhs = self._spd()
+        inv_diag = 1.0 / np.diag(m).real if jacobi else None
+        warm = 0.3 * rhs
+        res = cg_solve(lambda v: m @ v, rhs, x0=warm, tol=1e-10, maxiter=300,
+                       inv_diag=inv_diag, forcing=0.0)
+        x, iters, stop = self._cg_without_forcing(lambda v: m @ v, rhs, warm, 1e-10, 300,
+                                                  inv_diag)
+        assert (res.iters, res.stop) == (iters, stop) == (iters, "tol")
+        assert res.x.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-1])
+    def test_forcing_stops_relative_to_warm_start(self, eta):
+        m, rhs = self._spd()
+        rng = np.random.default_rng(30)
+        warm = np.linalg.solve(m, rhs) + 1e-3 * (rng.standard_normal(20)
+                                                 + 1j * rng.standard_normal(20))
+        r0_rel = np.linalg.norm(rhs - m @ warm) / np.linalg.norm(rhs)
+        exact = cg_solve(lambda v: m @ v, rhs, x0=warm, tol=1e-12, maxiter=300)
+        res = cg_solve(lambda v: m @ v, rhs, x0=warm, tol=1e-12, maxiter=300, forcing=eta)
+        assert res.r0_rel == pytest.approx(r0_rel, rel=1e-10) and r0_rel > 1e-12
+        assert exact.r0_rel == res.r0_rel
+        assert res.stop == "tol" and 1 <= res.iters < exact.iters
+        assert res.rel_residual <= max(1e-12, eta * res.r0_rel)
+        # a warm start already within tol takes no step, whatever the forcing
+        done = cg_solve(lambda v: m @ v, rhs, x0=exact.x, tol=1e-10, forcing=eta)
+        assert done.r0_rel <= 1e-10 and (done.iters, done.stop) == (0, "tol")
+
     def test_stop_zero_rhs(self):
         m, rhs = self._spd()
         res = cg_solve(lambda v: m @ v, np.zeros_like(rhs), x0=rhs, tol=1e-12)
@@ -265,7 +332,7 @@ class TestLsUpdate:
 
         for c, seed, accel in ((1, 4, None), (3, 7, None), (3, 7, 6.0)):
             kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=seed, acceleration=accel)
-            h = weight_update(kt, spec, p=0.6, eps=0.1)
+            h = weight_matrix(kt, spec, p=0.6, eps=0.1)
             lam = 7.0
             block = fastops.build_normal_multipliers(h, spec)
 
@@ -289,7 +356,7 @@ class TestLsUpdate:
         g = Grid(8, 8, 4)
         for c in (1, 3):
             kt, meas, spec = make_problem(g, fraction=0.4, c=c, seed=5)
-            h = weight_update(random_volume(g, 11), spec, p=0.6, eps=0.3)
+            h = weight_matrix(random_volume(g, 11), spec, p=0.6, eps=0.3)
             lam = 2.0
             block = fastops.build_normal_multipliers(h, spec)
 
@@ -306,7 +373,7 @@ class TestLsUpdate:
         # the k-space Jacobi preconditioner against plain CG on the same operator
         g = Grid(8, 8, 4)
         kt, meas, spec = make_problem(g, fraction=0.3, c=1, seed=0)
-        h = weight_update(kt, spec, p=0.6, eps=0.1)
+        h = weight_matrix(kt, spec, p=0.6, eps=0.1)
         lam = 7.0
         block = fastops.build_normal_multipliers(h, spec)
         mask = meas.mask
@@ -329,7 +396,7 @@ class TestLsUpdate:
         kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=4,
                                       acceleration=None if c == 1 else 4.0)
         block = fastops.build_normal_multipliers(
-            weight_update(kt, spec, p=0.6, eps=0.1), spec)
+            weight_matrix(kt, spec, p=0.6, eps=0.1), spec)
         make_rhs, apply_block = solver._rhs, fastops.apply_block
         refs, alive = [], []
 
@@ -355,7 +422,7 @@ class TestLsUpdate:
         for c in (1, 3):
             kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=6)
             block = fastops.build_normal_multipliers(
-                weight_update(kt, spec, p=0.6, eps=0.1), spec)
+                weight_matrix(kt, spec, p=0.6, eps=0.1), spec)
             warm = kt.copy()
             warm[1, 2, 3] = np.nan
             with pytest.raises(ValueError, match="warm_start"):
@@ -367,13 +434,38 @@ class TestLsUpdate:
                 ls_update(block, bad, 2.0, warm_start=kt, cg_iters=5)
 
 
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_zero_forcing_is_the_exact_solve(self, c):
+        # ls_update at cg_forcing 0 runs the CG loop as it was before the
+        # forcing term, bit for bit: the same iterations and the same volume
+        g = Grid(8, 8, 4)
+        kt, meas, spec = make_problem(g, fraction=0.5, c=c, seed=4,
+                                      acceleration=None if c == 1 else 4.0)
+        block = fastops.build_normal_multipliers(weight_matrix(kt, spec, p=0.6, eps=0.1), spec)
+        warm = 0.5 * kt
+
+        def without_forcing(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None,
+                            forcing=0.0):
+            assert forcing == 0.0
+            x, iters, stop = TestCg._cg_without_forcing(op, rhs, x0, tol, maxiter, inv_diag)
+            return solver.CgResult(x, iters, float("nan"), stop, float("nan"))
+
+        res = ls_update(block, meas, 2.0, warm_start=warm, cg_iters=300, cg_tol=1e-10,
+                        cg_forcing=0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "cg_solve", without_forcing)
+            ref = ls_update(block, meas, 2.0, warm_start=warm, cg_iters=300, cg_tol=1e-10)
+        assert (res.iters, res.stop) == (ref.iters, ref.stop) == (ref.iters, "tol")
+        assert res.x.tobytes() == ref.x.tobytes()
+
+
 class TestGradient:
     def test_penalty_gradient_matches_finite_differences(self):
         g = Grid(6, 6, 4)
         spec = FilterSpec(3, 3, 2, g)
         x = random_volume(g, 13)
         block = fastops.build_normal_multipliers(
-            weight_update(random_volume(g, 14), spec, p=0.6, eps=0.2), spec
+            weight_matrix(random_volume(g, 14), spec, p=0.6, eps=0.2), spec
         )
 
         def f(v):
@@ -442,7 +534,7 @@ class TestIrls:
             fastops.assemble_gram_circulant(kt, spec).matrix
         )[-1]
         block = fastops.build_normal_multipliers(
-            weight_update(kt, spec, p=0.6, eps=1e-9 * lam_max), spec)
+            weight_matrix(kt, spec, p=0.6, eps=1e-9 * lam_max), spec)
         vol = ls_update(block, meas, lam=1e6, cg_iters=3000, cg_tol=1e-13).x
         err = np.linalg.norm(vol - kt) / np.linalg.norm(kt)
         assert err <= 1e-3
@@ -521,9 +613,29 @@ class TestIrls:
         x[3, 4, 1] = np.nan
         spec = FilterSpec(5, 5, 2, g)
         with pytest.raises(SolverError, match="Gram failed: .*non-finite"):
-            weight_update(x, spec, p=0.6, eps=0.1)
+            weight_matrix(x, spec, p=0.6, eps=0.1)
         with pytest.raises(SolverError, match="Gram failed at outer step 4: .*non-finite"):
             solver._gram_eig(x, spec, 4)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_steps_stop_on_the_forcing_term(self, c):
+        # each outer step's CG ends at CG_FORCING times its warm start's
+        # residual, or at cg_tol if that is larger, and so takes fewer
+        # iterations over the run than CG run to cg_tol
+        g = Grid(8, 8, 4)
+        _, meas, spec = make_problem(g, fraction=0.5, c=c, seed=2, kind="regions_smoothed",
+                                     acceleration=None if c == 1 else 4.0)
+        cfg = SolverConfig(p=0.6, lam=10.0, outer_iters=6, cg_iters=150, cg_tol=1e-10)
+        _, report = irls_solve(meas, spec, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "CG_FORCING", 0.0)
+            _, exact = irls_solve(meas, spec, cfg)
+        for rec in report.records:
+            assert rec.cg_stop == "tol"
+            assert rec.cg_r0_rel > cfg.cg_tol and rec.cg_iters >= 1
+            assert rec.cg_rel_residual <= max(cfg.cg_tol, solver.CG_FORCING * rec.cg_r0_rel)
+        iters = [sum(r.cg_iters for r in rep.records) for rep in (report, exact)]
+        assert iters[0] < iters[1], iters
 
     def test_report_csv_schema(self, tmp_path):
         g = Grid(8, 8, 4)
