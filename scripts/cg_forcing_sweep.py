@@ -68,7 +68,7 @@ def reconstruct(cfg, meas, arrays):
     vol, report = irls_solve(meas, cfg.filter_spec, cfg.solver_config)
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     support = np.abs(arrays["truth_amp"][0]) > 0
-    t2 = fit_t2(dft2_inverse(vol), cfg.echo_times, support=support).t2
+    t2 = fit_t2(dft2_inverse(vol), cfg.echo_times, support=support)
     records = report.records
     r0 = [r.cg_r0_rel for r in records]
     return {

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every file the pipeline's simulate and recon stages
-write on two check configs, at one BLAS thread, so that a refactor can be
+"""Print the sha256 of every file the pipeline's simulate, recon and fit
+stages write on two check configs, at one BLAS thread, so that a refactor can be
 shown to leave every output byte-identical.
 
 The check configs are presets with their seed and some solver keys replaced:
 fig5_desk (one coil) with outer_iters 2, eps_decay 0.35 and seed 777, and
-fig6_desk (4 coils) with outer_iters 1 and seed 12345.  Each runs simulate
-and recon with all three methods into OUT/<preset>; the hashes cover every
-.ktar and report_ktlr.csv there.
+fig6_desk (4 coils) with outer_iters 1 and seed 12345.  Each runs simulate,
+then recon and fit with all three methods, into OUT/<preset>; the hashes
+cover every .ktar (t2_<method>.ktar included) and report_ktlr.csv there.
 
 usage: python scripts/check_hashes.py [OUT]   (OUT defaults to out/check_hashes)
 """
@@ -41,7 +41,7 @@ def run_check(preset, changes, out):
     out.mkdir(parents=True, exist_ok=True)
     config = out / "config.json"
     config.write_text(json.dumps(check_config(preset, changes), indent=2), encoding="utf-8")
-    stages = [["simulate"]] + [["recon", "--method", m] for m in METHODS]
+    stages = [["simulate"]] + [[cmd, "--method", m] for cmd in ("recon", "fit") for m in METHODS]
     for stage in stages:
         code = main([stage[0], "--config", str(config), "--out", str(out), *stage[1:]])
         if code not in (0, 2):

@@ -20,7 +20,7 @@ _EXPORTS = {
     "solver": ["SolverConfig", "SolveReport", "irls_solve"],
     "simulate": ["PhantomSpec", "Phantom", "Measurements", "make_phantom", "make_coils",
                  "make_mask", "simulate_measurements"],
-    "mapping": ["T2Map", "fit_t2", "snr_db", "nrmse", "recon_zerofill", "recon_ktlowrank"],
+    "mapping": ["fit_t2", "snr_db", "nrmse", "recon_zerofill", "recon_ktlowrank"],
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

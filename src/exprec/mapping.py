@@ -11,7 +11,6 @@ from . import fastops, simulate
 from .simulate import Measurements, adjoint
 
 __all__ = [
-    "T2Map",
     "KtlrResult",
     "fit_t2",
     "snr_db",
@@ -26,22 +25,14 @@ T2_CLAMP_LOW = 1.0
 T2_CLAMP_HIGH = 5000.0
 
 
-@dataclass(frozen=True)
-class T2Map:
-    """Mono-exponential fit result: t2/amp maps plus the fitted support."""
-
-    t2: np.ndarray = field(repr=False)  # (P, Q) ms, 0 off support
-    amp: np.ndarray = field(repr=False)  # (P, Q)
-    support: np.ndarray = field(repr=False)  # (P, Q) bool, pixels actually fitted
-
-
-def fit_t2(series, echo_times, support=None) -> T2Map:
-    """Per-pixel weighted log-linear mono-exponential fit of a (P, Q, T) series.
+def fit_t2(series, echo_times, support=None) -> np.ndarray:
+    """Per-pixel weighted log-linear mono-exponential fit of a (P, Q, T) series:
+    the (P, Q) T2 map in ms, 0 off the fitted support.
 
     Solves least squares on log|rho| vs TE with weights |rho|^2, which is
     exact on noiseless mono-exponentials.  Pixels with a non-positive
     magnitude anywhere are dropped from the support; fits outside the
-    (1, 5000) ms range are clamped.
+    (1, 5000) ms range are clamped, so ``t2 > 0`` is the fitted support.
     """
     te = np.asarray(echo_times, dtype=np.float64)
     if te.size < 2:
@@ -66,12 +57,9 @@ def fit_t2(series, echo_times, support=None) -> T2Map:
     sty = (w * te * logm).sum(axis=2)
     det = s0 * s2 - s1**2
     good = ok & (det > 0)
-    det_safe = np.where(good, det, 1.0)
-    slope = (s0 * sty - s1 * sy) / det_safe
-    intercept = (s2 * sy - s1 * sty) / det_safe
+    slope = (s0 * sty - s1 * sy) / np.where(good, det, 1.0)
 
     t2 = np.zeros(mag.shape[:2])
-    amp = np.zeros_like(t2)
     decaying = good & (slope < 0)
     t2[decaying] = -1.0 / slope[decaying]
     t2[good & ~decaying] = T2_CLAMP_HIGH  # no decay measured
@@ -79,9 +67,8 @@ def fit_t2(series, echo_times, support=None) -> T2Map:
     high = decaying & (t2 > T2_CLAMP_HIGH)
     t2[low] = T2_CLAMP_LOW
     t2[high] = T2_CLAMP_HIGH
-    amp[good] = np.exp(intercept[good])
     t2[~good] = 0.0
-    return T2Map(t2=t2, amp=amp, support=good)
+    return t2
 
 
 def _norms(ref, rec):
@@ -127,15 +114,15 @@ def _svt(mat, thresh):
     return mat @ ((v * (sv / np.where(s > 0, s, 1.0))) @ v.conj().T), sv
 
 
-def recon_ktlowrank(meas: Measurements, mu: float, *, iters: int) -> KtlrResult:
+def recon_ktlowrank(meas: Measurements, mu_rel: float, *, iters: int) -> KtlrResult:
     """Nuclear-norm k-t low rank baseline via proximal gradient (ISTA).
 
-    Minimizes 0.5 ||A x - b||^2 + mu ||Casorati(x)||_* with unit step
-    (||A|| <= 1 for SOS-normalized coils), soft-thresholding the PQ x T
-    Casorati matrix each sweep.  That commutes with the unitary per-frame DFT
-    F, so ISTA runs on the domain of ``simulate.Sampling``: k-space x for one
-    uniform coil (A is the mask), else z = F^H x with b gathered once onto the
-    mask's k-space lattice (b is 0 off it).
+    Minimizes 0.5 ||A x - b||^2 + mu ||Casorati(x)||_*, mu = ``mu_rel`` smax
+    (``OverflowError`` if not finite) for smax the top singular value of the
+    first step, A* b (the zero-fill), with unit step (||A|| <= 1 for
+    SOS-normalized coils).  Thresholding commutes with the unitary per-frame
+    DFT F, so ISTA runs on the domain of ``simulate.Sampling``: k-space x for
+    one uniform coil (A is the mask), else z = F^H x with b on the mask's lattice.
 
     Each sweep thresholds the Casorati matrix M through its T x T Gram
     M* M = V diag(s^2) V*, as M V diag(max(s - mu, 0) / s) V*: one T x T
@@ -143,16 +130,22 @@ def recon_ktlowrank(meas: Measurements, mu: float, *, iters: int) -> KtlrResult:
     a sweep is accurate to about eps smax / (2 mu) relative: 3e-15 at
     mu = 0.02 smax, 6e-11 at 1e-6 smax.  mu above smax gives exact zeros.
     """
-    if mu < 0 or iters < 1:
-        raise ValueError("need mu >= 0 and iters >= 1")
+    if mu_rel < 0 or iters < 1:
+        raise ValueError("need mu_rel >= 0 and iters >= 1")
     p, q, t = meas.b.shape[1:]
     a = simulate.Sampling(meas.maps, meas.mask)
     b = a.gather(meas.b)
-    x = np.zeros((p, q, t), dtype=np.complex128)
+    step = a.adjoint(a.gather(meas.b)).reshape(p * q, t)  # x - A*(A x - b) at x = 0
+    lam, _ = fastops.eigh_overwrite(step.conj().T @ step, vectors=False)
+    mu = mu_rel * float(np.sqrt(lam[-1]))
+    if not np.isfinite(mu):
+        raise OverflowError(f"{mu_rel!r} times the largest singular value of the zero-fill "
+                            "recon overflows")
     trace, prev = [], np.inf
-    resid = a.apply(x) - b  # A x - b; each sweep's objective residual is the next one's gradient's
-    for _ in range(iters):
-        xnew, sv = _svt((x - a.adjoint(resid)).reshape(p * q, t), mu)
+    for sweep in range(iters):
+        if sweep:
+            step = (x - a.adjoint(resid)).reshape(p * q, t)  # resid: the last sweep's A x - b
+        xnew, sv = _svt(step, mu)
         x = xnew.reshape(p, q, t)
         resid = a.apply(x) - b
         obj = 0.5 * float(np.vdot(resid, resid).real) + mu * float(sv.sum())

@@ -87,8 +87,7 @@ class PhantomSpec:
 class Phantom:
     series: np.ndarray = field(repr=False)  # (P, Q, T) complex
     t2_maps: np.ndarray = field(repr=False)  # (L, P, Q) ms
-    amp_maps: np.ndarray = field(repr=False)  # (L, P, Q) complex
-    support: np.ndarray = field(repr=False)  # (P, Q) bool
+    amp_maps: np.ndarray = field(repr=False)  # (L, P, Q) complex, 0 off the support
 
 
 def series_from_maps(grid: Grid, amp_maps, t2_maps) -> np.ndarray:
@@ -145,7 +144,6 @@ def make_phantom(spec: PhantomSpec, seed: int = 0) -> Phantom:
     amp_maps = np.empty((spec.l, p, q), dtype=np.complex128)
 
     if spec.kind == "bandlimited_exact":
-        support = np.ones((p, q), dtype=bool)
         comp_bw = max(1, spec.bandwidth // spec.l)
         beta_low = np.exp(-grid.dt / spec.t2_low)
         beta_high = np.exp(-grid.dt / spec.t2_high)
@@ -175,7 +173,7 @@ def make_phantom(spec: PhantomSpec, seed: int = 0) -> Phantom:
             amp_maps[i] = np.where(support, np.maximum(a, 0.15), 0.0)
 
     series = series_from_maps(grid, amp_maps, t2_maps)
-    return Phantom(series=series, t2_maps=t2_maps, amp_maps=amp_maps, support=support)
+    return Phantom(series=series, t2_maps=t2_maps, amp_maps=amp_maps)
 
 
 def make_coils(grid: Grid, c: int, seed: int = 0) -> np.ndarray:

@@ -94,6 +94,25 @@ def test_criterion_2_annihilation_low_rank():
           f"{tight.nullity_est} -> {big.nullity_est} >= {embeddings} under support growth")
 
 
+@pytest.mark.parametrize("seed", [21, 3, 7])
+def test_criterion_2_two_exponentials_need_temporal_length_3(seed):
+    """L = 2 exponentials per pixel: a temporal filter of length L + 1 = 3
+    annihilates the exact bandlimited phantom, and length 2 does not."""
+    g = Grid(16, 16, 8)
+    ph = simulate.make_phantom(
+        simulate.PhantomSpec(g, l=2, kind="bandlimited_exact", bandwidth=2,
+                             t2_low=30.0, t2_high=150.0),
+        seed=seed,
+    )
+    kt = dft2_forward(ph.series)
+    short = annihilation_certificate(kt, FilterSpec(5, 5, 2, g), "hybrid", tol=1e-8)
+    assert short.nullity_est == 0
+    assert short.sigma_min / short.sigma_max > 1e-5  # measured 1.1e-3 to 1.7e-3
+    exact = annihilation_certificate(kt, FilterSpec(5, 5, 3, g), "hybrid", tol=1e-8)
+    assert exact.nullity_est >= 1
+    assert exact.sigma_min / exact.sigma_max <= 1e-12  # measured at most 2.7e-16
+
+
 def test_criterion_3_irls_correctness():
     """Majorization identity, monotonicity, CG oracle, gradient check."""
     g = Grid(8, 8, 4)

@@ -542,6 +542,27 @@ class TestPgmContent:
         assert words.size == 35
         assert (words == words[0]).all()
 
+    def test_two_exponentials_have_no_t2_score(self, tmp_path, capsys):
+        # fit fits one exponential, so with L = 2 it refuses the config, and
+        # eval scores the series alone: an empty T2 cell, never a NaN
+        doc = json.loads(json.dumps(TINY))
+        doc["phantom"]["l"] = 2
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", path, "--out", out) == 0
+        assert run("recon", "--config", path, "--out", out, "--method", "zerofill") == 0
+        capsys.readouterr()
+        assert run("fit", "--config", path, "--out", out, "--method", "zerofill") == 65
+        assert "invalid config: /phantom/l: 2 exponentials" in capsys.readouterr().err
+        assert not (out / "t2_zerofill.ktar").exists()
+        assert run("eval", "--config", path, "--out", out, "--method", "zerofill") == 0
+        rows = list(csv.DictReader(io.StringIO((out / "metrics.csv").read_text())))
+        assert [row["t2_mae_ms"] for row in rows] == [""]
+        assert math.isfinite(float(rows[0]["snr_db"])) and math.isfinite(float(rows[0]["nrmse"]))
+        assert run("render", "--config", path, "--out", out, "--method", "zerofill") == 0
+        assert sorted(p.name for p in (out / "renders").glob("*.pgm")) == ["zerofill_mag000.pgm"]
+
     def test_window_quantization(self, tmp_path):
         from exprec.pgm import write_pgm16
 
