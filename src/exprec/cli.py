@@ -99,15 +99,18 @@ def _write(outdir, name, data, cfg):
     ktar.write_array(outdir / name, data, meta={"config_hash": cfg.config_hash})
 
 
-def _read(outdir, name, shape, cfg):
-    """One pipeline array, which must fit ``shape`` (None on an axis of any
-    length), be stamped with ``cfg.config_hash`` and pass ``_require_usable``."""
+def _read(outdir, name, shape, dtype, cfg):
+    """One pipeline array, which must hold the KTAR ``dtype`` the pipeline writes,
+    fit ``shape`` (None on an axis of any length), be stamped with
+    ``cfg.config_hash`` and pass ``_require_usable``."""
     from . import ktar
 
     path = outdir / name
     if not path.exists():
         raise FileNotFoundError(f"missing input {path}; run the earlier pipeline stage first")
     header, data = ktar.read_array(path)
+    if header.dtype != dtype:
+        raise DataError(f"{path} holds {header.dtype} data; the pipeline writes it as {dtype}")
     if data.ndim != len(shape) or any(w not in (None, n) for w, n in zip(shape, data.shape)):
         raise DataError(f"{path} has shape {data.shape}; the config's grid needs {shape}")
     stamp = header.meta.get("config_hash") if isinstance(header.meta, dict) else None
@@ -173,14 +176,12 @@ def cmd_simulate(cfg, outdir):
 
 
 def _load_measurements(cfg, outdir):
-    import numpy as np
-
     from .simulate import Measurements
 
     p, q, t = cfg.grid.shape
-    b = _read(outdir, "meas.ktar", (None, p, q, t), cfg)
-    maps = _read(outdir, "coils.ktar", (len(b), p, q), cfg).astype(np.complex128)
-    mask = _read(outdir, "mask.ktar", (p, q, t), cfg) > 0.5
+    b = _read(outdir, "meas.ktar", (None, p, q, t), "c128", cfg)
+    maps = _read(outdir, "coils.ktar", (len(b), p, q), "c128", cfg)
+    mask = _read(outdir, "mask.ktar", (p, q, t), "f32", cfg) > 0.5
     return Measurements(b=b, mask=mask, maps=maps)
 
 
@@ -207,7 +208,7 @@ def cmd_recon(cfg, outdir, method):
         (outdir / "report_ktlr.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         lam = cfg.solver_config.lam
-        if _overflows(lam, meas.b):  # the data term 0.5 lam ||A x - b||^2
+        if _overflows(lam, meas.samples):  # the data term 0.5 lam ||A x - b||^2
             raise ConfigError(f"invalid config: /solver/lam: {lam!r} times the squared "
                               f"norm of {outdir / 'meas.ktar'} overflows")
         try:
@@ -238,7 +239,7 @@ def _warn_cg_stops(records):
 def _support_from_truth(cfg, outdir):
     import numpy as np
 
-    amp = _read(outdir, "truth_amp.ktar", (None, cfg.grid.p, cfg.grid.q), cfg)
+    amp = _read(outdir, "truth_amp.ktar", (None, cfg.grid.p, cfg.grid.q), "c128", cfg)
     return np.abs(amp[0]) > 0
 
 
@@ -250,7 +251,7 @@ def cmd_fit(cfg, outdir, method):
     if cfg.phantom_spec.l > 1:
         raise ConfigError(f"invalid config: /phantom/l: {cfg.phantom_spec.l} exponentials "
                           "per pixel, but fit fits one")
-    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, "c128", cfg)
     t2 = fit_t2(dft2_inverse(recon), cfg.echo_times, support=_support_from_truth(cfg, outdir))
     _write(outdir, f"t2_{method}.ktar", t2, cfg)
     return EXIT_OK
@@ -264,16 +265,16 @@ def cmd_eval(cfg, outdir, method):
 
     t0 = time.perf_counter()
     p, q, _ = cfg.grid.shape
-    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
-    truth_series = _read(outdir, "phantom.ktar", cfg.grid.shape, cfg)
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, "c128", cfg)
+    truth_series = _read(outdir, "phantom.ktar", cfg.grid.shape, "c128", cfg)
     # compare in k-t space; the per-frame DFT is unitary so SNR and NRMSE
     # match the image-domain values, and the noiseless identity pipeline
     # stays exact to the bit
     truth_kt = dft2_forward(truth_series)
     mae = ""  # L > 1 exponentials per pixel: fit writes no T2 map to score
     if cfg.phantom_spec.l == 1:
-        t2_fit = _read(outdir, f"t2_{method}.ktar", (p, q), cfg)
-        t2_true = _read(outdir, "truth_t2.ktar", (None, p, q), cfg)[0]
+        t2_fit = _read(outdir, f"t2_{method}.ktar", (p, q), "f64", cfg)
+        t2_true = _read(outdir, "truth_t2.ktar", (None, p, q), "f64", cfg)[0]
         support = _support_from_truth(cfg, outdir)
         mae = float(np.mean(np.abs(t2_fit[support] - t2_true[support])))
     snr = snr_db(truth_kt, recon)
@@ -295,7 +296,7 @@ def cmd_render(cfg, outdir, method):
     from .core import dft2_inverse
     from .pgm import render_map
 
-    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, cfg)
+    recon = _read(outdir, f"recon_{method}.ktar", cfg.grid.shape, "c128", cfg)
     series = dft2_inverse(recon)
     rdir = outdir / "renders"
     rdir.mkdir(parents=True, exist_ok=True)
@@ -304,9 +305,9 @@ def cmd_render(cfg, outdir, method):
     t2_path = outdir / f"t2_{method}.ktar"
     if t2_path.exists():
         p, q, _ = cfg.grid.shape
-        t2 = _read(outdir, f"t2_{method}.ktar", (p, q), cfg)
+        t2 = _read(outdir, f"t2_{method}.ktar", (p, q), "f64", cfg)
         render_map(rdir / f"{method}_t2.pgm", t2, f"{method} T2 (ms)", h)
-        truth = _read(outdir, "truth_t2.ktar", (None, p, q), cfg)[0]
+        truth = _read(outdir, "truth_t2.ktar", (None, p, q), "f64", cfg)[0]
         support = _support_from_truth(cfg, outdir)
         err = np.where(support, np.abs(t2 - truth), 0.0)
         render_map(rdir / f"{method}_t2err.pgm", err, f"{method} |T2 error| (ms)", h)

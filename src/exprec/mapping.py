@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fastops, simulate
-from .simulate import Measurements, adjoint
+from . import fastops
+from .simulate import Measurements, adjoint  # noqa: F401  perfbench traces mapping.adjoint
 
 __all__ = [
     "KtlrResult",
@@ -97,7 +97,7 @@ def nrmse(ref, rec) -> float:
 
 def recon_zerofill(meas: Measurements) -> np.ndarray:
     """Adjoint (coil-combined, mask-respecting) reconstruction of b."""
-    return adjoint(meas.b, meas.maps, meas.mask)
+    return meas.sampling.to_kspace(meas.zerofill())
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def recon_ktlowrank(meas: Measurements, mu_rel: float, *, iters: int) -> KtlrRes
     (``OverflowError`` if not finite) for smax the top singular value of the
     first step, A* b (the zero-fill), with unit step (||A|| <= 1 for
     SOS-normalized coils).  Thresholding commutes with the unitary per-frame
-    DFT F, so ISTA runs on the domain of ``simulate.Sampling``: k-space x for
+    DFT F, so ISTA runs on the domain of ``meas.sampling``: k-space x for
     one uniform coil (A is the mask), else z = F^H x with b on the mask's lattice.
 
     Each sweep thresholds the Casorati matrix M through its T x T Gram
@@ -132,10 +132,9 @@ def recon_ktlowrank(meas: Measurements, mu_rel: float, *, iters: int) -> KtlrRes
     """
     if mu_rel < 0 or iters < 1:
         raise ValueError("need mu_rel >= 0 and iters >= 1")
-    p, q, t = meas.b.shape[1:]
-    a = simulate.Sampling(meas.maps, meas.mask)
-    b = a.gather(meas.b)
-    step = a.adjoint(a.gather(meas.b)).reshape(p * q, t)  # x - A*(A x - b) at x = 0
+    p, q, t = meas.mask.shape
+    a, b = meas.sampling, meas.samples
+    step = meas.zerofill().reshape(p * q, t)  # x - A*(A x - b) at x = 0
     lam, _ = fastops.eigh_overwrite(step.conj().T @ step, vectors=False)
     mu = mu_rel * float(np.sqrt(lam[-1]))
     if not np.isfinite(mu):

@@ -284,17 +284,34 @@ def make_mask(
     return np.stack(frames, axis=-1)
 
 
-@dataclass(frozen=True)
 class Measurements:
-    """Sampled multichannel k-t data with its mask and coil maps."""
+    """Sampled multichannel k-t data with its mask and coil maps, held as the
+    samples of its sampling operator: ``samples`` is ``sampling.gather(b)`` with
+    the unsampled lattice points zeroed, read-only; ``b`` scatters them on demand."""
 
-    b: np.ndarray = field(repr=False)  # (C, P, Q, T) complex, zero off-mask
-    mask: np.ndarray = field(repr=False)  # (P, Q, T) bool
-    maps: np.ndarray = field(repr=False)  # (C, P, Q) complex coil sensitivities
+    def __init__(self, b, mask, maps):
+        b = np.asarray(b)
+        if b.ndim != 4 or b.shape[1:] != mask.shape or maps.shape != b.shape[:3]:
+            raise ValueError(f"data {b.shape}, mask {mask.shape} and coil maps {maps.shape} "
+                             "do not fit (C, P, Q, T), (P, Q, T) and (C, P, Q)")
+        self.mask, self.maps = mask, maps  # (P, Q, T) bool, (C, P, Q) complex
+        self.sampling = a = Sampling(maps, mask)
+        self.samples = a.gather(b)  # a copy: the mask goes on in place
+        dx, dy = a.step
+        self.samples *= mask if a.kspace else mask[::dx, ::dy, None, :]
+        self.samples.flags.writeable = False
 
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.complex128)
-        object.__setattr__(self, "b", b * self.mask[None, :, :, :])
+    @property
+    def b(self):
+        """(C, P, Q, T) complex data, 0 off the mask, read-only: a new array, or a
+        view of ``samples`` for one uniform coil."""
+        b = self.sampling.scatter(self.samples)
+        b.flags.writeable = False
+        return b
+
+    def zerofill(self):
+        """A* b on the domain of ``sampling``, a new array."""
+        return self.sampling.adjoint(self.samples.copy())
 
 
 class Sampling:
@@ -338,7 +355,10 @@ class Sampling:
 
     def to_domain(self, x):
         """A k-space volume on the domain of ``apply``: x itself, or a new F^H x."""
-        return x if self.kspace else np.fft.ifft2(x, axes=(0, 1), norm="ortho")
+        if self.kspace:
+            return x
+        # into one new array: ifft2 would allocate one per axis
+        return np.fft.ifftn(x, axes=(0, 1), norm="ortho", out=np.empty(x.shape, np.complex128))
 
     def to_kspace(self, z):
         """The inverse of ``to_domain``; overwrites z."""
@@ -352,6 +372,7 @@ class Sampling:
         (dx, dy), (lp, lq, _, k) = self.step, self.coils.shape
         img = img.reshape(dx, lp, dy, lq, -1).transpose(1, 3, 0, 2, 4).reshape(lp, lq, k, -1)
         samples = self.coils @ img  # img names the tiled copy: a temporary argument can go first
+        del img  # before the broadcast weighting below takes its buffer of up to 8192 elements
         np.fft.fft2(samples, axes=(0, 1), norm="ortho", out=samples)
         samples *= self.weight[:, :, None, :]
         return samples

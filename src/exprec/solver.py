@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fastops, simulate
+from . import fastops
 from .core import require_finite
 from .lifting import FilterSpec
 
@@ -161,7 +161,10 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None, forcing=0.0
 
 
 def _data_residual_sq(x, meas):
-    resid = simulate.forward(x, meas.maps, meas.mask) - meas.b
+    """||A x - b||^2 for a k-space x, on the samples: no (C, P, Q, T) array."""
+    a = meas.sampling
+    resid = a.apply(a.to_domain(x))
+    resid -= meas.samples
     return float(np.vdot(resid, resid).real)
 
 
@@ -178,10 +181,11 @@ def _jacobi_inverse(block, lam_mask):
     return inv
 
 
-def _rhs(meas, lam, sampling):
-    """lam A* meas.b on the domain of ``sampling``, checked finite.  Callers
+def _rhs(meas, lam):
+    """lam A* b on the domain of ``meas.sampling``, checked finite.  Callers
     pass it inline to ``cg_solve``, which frees it after the first residual."""
-    rhs = lam * sampling.adjoint(sampling.gather(meas.b))
+    rhs = meas.zerofill()
+    rhs *= lam
     require_finite("ls_update right-hand side lam * A* meas.b", rhs)
     return rhs
 
@@ -193,7 +197,7 @@ def ls_update(block, meas, lam: float, warm_start=None, cg_iters: int = 200,
 
     N is the penalty normal operator of ``block``, the (P, Q, T, T) output of
     ``fastops.build_normal_multipliers`` over the valid linear window.  CG runs
-    on the domain of the sampling operator ``simulate.Sampling``.  For one
+    on the domain of the sampling operator ``meas.sampling``.  For one
     uniform coil that is k-space, where A* A is the mask M: ``apply_normal +
     lam M`` (one FFT pair per iteration), preconditioned by its exact diagonal.
     Otherwise it is z = F^H x (F unitary): a per-pixel penalty matmul and one
@@ -201,7 +205,7 @@ def ls_update(block, meas, lam: float, warm_start=None, cg_iters: int = 200,
     Returns the ``CgResult``, its ``x`` in k-space; the quadratic objective
     there never exceeds its value at the warm start.
     """
-    a = simulate.Sampling(meas.maps, meas.mask)
+    a = meas.sampling
     x0 = None if warm_start is None else np.asarray(warm_start, dtype=np.complex128)
     if x0 is not None:
         require_finite("ls_update warm_start", x0)
@@ -219,7 +223,7 @@ def ls_update(block, meas, lam: float, warm_start=None, cg_iters: int = 200,
         return d
 
     # a warm start moved to the image domain is passed inline, so cg_solve frees it once copied
-    result = cg_solve(op, _rhs(meas, lam, a), tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag,
+    result = cg_solve(op, _rhs(meas, lam), tol=cg_tol, maxiter=cg_iters, inv_diag=inv_diag,
                       x0=None if x0 is None else a.to_domain(x0), forcing=cg_forcing)
     result.x = a.to_kspace(result.x)
     return result
@@ -273,9 +277,10 @@ def irls_solve(meas, spec: FilterSpec, cfg: SolverConfig):
     objective at that eps by at most ``OBJ_STOP_REL`` relative; else it
     stops, not converged, after ``outer_iters`` rounds.
     """
-    if meas.b.shape[1:] != spec.grid.shape:
-        raise ValueError(f"measurements shape {meas.b.shape} does not match grid {spec.grid.shape}")
-    x = simulate.adjoint(meas.b, meas.maps, meas.mask)
+    if meas.mask.shape != spec.grid.shape:
+        raise ValueError(f"measurements shape {meas.mask.shape} does not match grid "
+                         f"{spec.grid.shape}")
+    x = meas.sampling.to_kspace(meas.zerofill())
     eigvals, eigvecs = _gram_eig(x, spec, 0)
     lam_max0 = max(float(eigvals[-1]), 0.0)
     eps = lam_max0 / 100.0

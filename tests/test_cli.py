@@ -529,6 +529,36 @@ class TestErrors:
         assert run("recon", "--config", tiny_config, "--out", out,
                    "--method", "zerofill") == 65
 
+    def test_input_of_another_dtype_is_data_error(self, tmp_path, tiny_config, capsys):
+        # each input holds the dtype the pipeline writes it in: a coil map
+        # rewritten as float64, a mask as complex64, and a float64 T2 map
+        # relabelled complex64 (the same payload size) are each refused
+        out = tmp_path / "o"
+        assert run("simulate", "--config", tiny_config, "--out", out) == 0
+        for command in ("recon", "fit"):
+            assert run(command, "--config", tiny_config, "--out", out, "--method", "zerofill") == 0
+        capsys.readouterr()
+
+        def rewrite(path, convert):
+            header, data = ktar.read_array(path)
+            ktar.write_array(path, convert(data), meta=header.meta)
+
+        for name, mutate, command, found, wanted in [
+            ("coils.ktar", lambda p: rewrite(p, np.real), "recon", "f64", "c128"),
+            ("mask.ktar", lambda p: rewrite(p, np.complex64), "recon", "c64", "f32"),
+            ("truth_t2.ktar", lambda p: p.write_bytes(
+                p.read_bytes().replace(b'"dtype":"f64"', b'"dtype":"c64"', 1)),
+             "eval", "c64", "f64"),
+        ]:
+            path = out / name
+            kept = path.read_bytes()
+            mutate(path)
+            assert ktar.read_array(path)[0].dtype == found
+            assert run(command, "--config", tiny_config, "--out", out, "--method", "zerofill") == 65
+            err = capsys.readouterr().err
+            assert f"{path} holds {found} data; the pipeline writes it as {wanted}" in err, err
+            path.write_bytes(kept)
+
 
 class TestPgmContent:
     def test_constant_map_renders_uniform(self, tmp_path):
@@ -581,8 +611,14 @@ MUTATION_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 1e308, "1",
 SIZE_KEYS = [("grid", "p"), ("grid", "q"), ("grid", "t"), ("coils", "count"),
              ("filter", "n1"), ("filter", "n2"), ("filter", "nt"), ("phantom", "l"),
              ("solver", "outer_iters"), ("solver", "cg_iters"), ("ktlr", "iters")]
-STAGES = [["simulate"]] + [[cmd, "--method", m] for m in ("zerofill", "ktlr", "proposed")
-                           for cmd in ("recon", "fit", "eval")]
+METHODS = ("zerofill", "ktlr", "proposed")
+STAGES = [["phantom"], ["mask"], ["simulate"]] + [[cmd, "--method", m] for m in METHODS
+                                               for cmd in ("recon", "fit", "eval", "render")]
+# the input files of each stage that reads any, {m} its method
+READS = {"recon": ["meas", "coils", "mask"],
+         "fit": ["recon_{m}", "truth_amp"],
+         "eval": ["recon_{m}", "phantom", "t2_{m}", "truth_t2", "truth_amp"],
+         "render": ["recon_{m}", "t2_{m}", "truth_t2", "truth_amp"]}
 
 
 def _filled_tiny():
@@ -633,7 +669,8 @@ def _within_tiny(doc):
 
 
 def _files(out):
-    return {p.name: p.read_bytes() for p in out.glob("*")} if out.is_dir() else {}
+    """The bytes of each file in ``out``, not in its subdirectories (``renders/``)."""
+    return {p.name: p.read_bytes() for p in out.glob("*") if p.is_file()} if out.is_dir() else {}
 
 
 def _non_finite(path):
@@ -651,6 +688,17 @@ def _non_finite(path):
     return False
 
 
+def _run_quietly(stage, root):
+    """(exit code, stderr with ``root`` shown as <dir>) of one stage on the
+    config ``root``/config.json, writing to ``root``/o."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([*stage, "--config", str(root / "config.json"), "--out", str(root / "o")])
+    return code, err.getvalue().replace(str(root), "<dir>")
+
+
 def _contract_breaches(doc):
     """Run every stage on ``doc``; each exit that is not 0, 2 or 65, each 65
     whose message names neither a JSON pointer nor a file, and each file that
@@ -661,13 +709,7 @@ def _contract_breaches(doc):
         (root / "config.json").write_text(json.dumps(doc))
         for stage in STAGES:
             before = _files(root / "o")
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                code = main([*stage, "--config", str(root / "config.json"),
-                             "--out", str(root / "o")])
-            message = err.getvalue().replace(str(root), "<dir>")
+            code, message = _run_quietly(stage, root)
             named = "<dir>" in message or re.search(r"(^|\s)/\w+(/\w+)*:", message)
             if code not in (0, 2, 65) or (code == 65 and not named):
                 breaches.append((" ".join(stage), code, message.strip()))
@@ -680,12 +722,56 @@ def _contract_breaches(doc):
     return breaches
 
 
+def _nan_payload(path):
+    header, data = ktar.read_array(path)
+    data.flat[5] = np.nan
+    ktar.write_array(path, data, meta=header.meta)
+
+
+def _truncated_payload(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _flat_header(path):
+    """The same payload under a one-axis shape: no input of the pipeline has one."""
+    header, data = ktar.read_array(path)
+    ktar.write_array(path, data.ravel(), meta=header.meta)
+
+
+def _relabelled_dtype(path):
+    """The same payload bytes under another dtype, the last axis rescaled to fit."""
+    header, data = ktar.read_array(path)
+    other = {"c128": np.float64, "c64": np.float64, "f64": np.complex64, "f32": np.complex64}
+    ktar.write_array(path, data.view(other[header.dtype]), meta=header.meta)
+
+
+FILE_MUTATIONS = [_nan_payload, _truncated_payload, _flat_header, _relabelled_dtype]
+
+
 class TestExitCodeContract:
-    """Whatever a config holds, simulate, recon (every method), fit and eval
-    exit 0, 2 or 65 (bad data), never 70, and each 65 names a JSON pointer of
-    the config or a file.  On 0 or 2, every file the stage wrote holds only
-    finite numbers.  Sizes and iteration counts never exceed the tiny
-    config's."""
+    """Whatever a config holds, phantom, mask, simulate, and recon, fit, eval
+    and render with every method exit 0, 2 or 65 (bad data), never 70, and
+    each 65 names a JSON pointer of the config or a file.  On 0 or 2, every
+    file the stage wrote holds only finite numbers.  Sizes and iteration
+    counts never exceed the tiny config's.  An input file with a NaN, a
+    truncated payload, a shape off the grid or its bytes under another dtype
+    makes the stage reading it exit 65 naming it."""
+
+    def test_every_input_file_mutation(self, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(TINY))
+        assert all(_run_quietly(stage, tmp_path)[0] in (0, 2) for stage in STAGES)
+        breaches = []
+        for command, names in READS.items():
+            for method, name in [(m, n.format(m=m)) for m in METHODS for n in names]:
+                path = tmp_path / "o" / f"{name}.ktar"
+                kept = path.read_bytes()
+                for mutate in FILE_MUTATIONS:
+                    mutate(path)
+                    code, message = _run_quietly([command, "--method", method], tmp_path)
+                    if code != 65 or f"<dir>/o/{name}.ktar" not in message:
+                        breaches.append((command, method, name, mutate.__name__, code, message))
+                    path.write_bytes(kept)
+        assert breaches == []
 
     def test_every_single_mutation(self):
         breaches = [(m, b) for m in _single_mutations()

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import weakref
 
@@ -667,3 +668,42 @@ class TestIrls:
         other = FilterSpec(2, 2, 2, Grid(6, 6, 4))
         with pytest.raises(ValueError):
             irls_solve(meas, other, SolverConfig())
+
+
+class TestSamplesOnly:
+    """A reconstruction holds the measurements as their lattice samples: with 4
+    coils on a 2x2 lattice those fill a quarter of the (C, P, Q, T) grid, and
+    no (C, P, Q, T) array is kept or built on the way."""
+
+    def problem(self):
+        g = Grid(32, 32, 6)
+        kt, meas, spec = make_problem(g, c=4, acceleration=4.0, seed=3, n1=3, n2=3)
+        assert meas.sampling.step == (2, 2)
+        return g, kt, meas
+
+    def test_measurements_keep_no_full_size_array(self):
+        g, _, meas = self.problem()
+        full = 4 * g.p * g.q * g.t
+        assert meas.samples.size == full // 4
+        assert [name for name, value in vars(meas).items()
+                if np.size(value) == full] == []
+        assert meas.b.shape == (4, *g.shape)  # derived on demand
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's frame "
+                        "keeps a temporary argument alive, so apply cannot free it")
+    def test_data_residual_holds_two_sample_volumes(self):
+        # the image-domain volume and its tiled copy, then the tiled copy and
+        # the samples; a (C, P, Q, T) residual alone would be four volumes
+        g, kt, meas = self.problem()
+        x = 1.1 * kt
+        want = simulate.forward(x, meas.maps, meas.mask) - meas.b
+        solver._data_residual_sq(x, meas)  # FFT plans are made on the first call
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = solver._data_residual_sq(x, meas)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * meas.samples.nbytes, peak / meas.samples.nbytes
+        assert abs(got - np.vdot(want, want).real) <= 1e-12 * got
