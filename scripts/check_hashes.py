@@ -7,7 +7,9 @@ The check configs are presets with their seed and some solver keys replaced:
 fig5_desk (one coil) with outer_iters 2, eps_decay 0.35 and seed 777, and
 fig6_desk (4 coils) with outer_iters 1 and seed 12345.  Each runs simulate,
 then recon and fit with all three methods, into OUT/<preset>; the hashes
-cover every .ktar (t2_<method>.ktar included) and report_ktlr.csv there.
+cover every .ktar (t2_<method>.ktar included) and report_ktlr.csv there, and
+report_proposed.csv with its wall-clock ``seconds`` column dropped, which pins
+eps, objective, data and reg terms and CG iterations at every outer step.
 
 usage: python scripts/check_hashes.py [OUT]   (OUT defaults to out/check_hashes)
 """
@@ -35,6 +37,14 @@ def check_config(preset, changes):
     return doc
 
 
+def report_digest(path):
+    """sha256 of a solver report CSV without its ``seconds`` column."""
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    col = rows[0].index("seconds")
+    text = "".join(",".join(row[:col] + row[col + 1:]) + "\n" for row in rows)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def run_check(preset, changes, out):
     from exprec.cli import main
 
@@ -48,6 +58,8 @@ def run_check(preset, changes, out):
             sys.exit(f"{preset}: {' '.join(stage)} exited {code}")
     for path in sorted(out.glob("*.ktar")) + [out / "report_ktlr.csv"]:
         print(f"{preset} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    print(f"{preset} report_proposed.csv-without-seconds "
+          f"{report_digest(out / 'report_proposed.csv')}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,40 +108,40 @@ def write_array(path, data, meta=None):
 
 
 def read_array(path):
-    """Read a KTAR v1 file; returns (ArrayHeader, ndarray)."""
+    """Read a KTAR v1 file; returns (ArrayHeader, ndarray), the payload read straight in."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
-        raise KtarBadMagic(f"{path}: bad magic {blob[:6]!r}")
-    off = len(MAGIC)
-    if len(blob) < off + 4:
-        raise KtarTruncated(f"{path}: truncated header length field")
-    hlen = int.from_bytes(blob[off : off + 4], "little")
-    off += 4
-    if len(blob) < off + hlen:
-        raise KtarTruncated(f"{path}: truncated header (need {hlen} bytes)")
-    try:
-        doc = json.loads(blob[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise KtarError(f"{path}: unreadable header: {exc}") from exc
-    off += hlen
-    if not isinstance(doc, dict):
-        raise KtarError(f"{path}: header is not a JSON object")
-    for key in ("dtype", "shape", "order"):
-        if key not in doc:
-            raise KtarError(f"{path}: header missing {key!r}")
-    for key in ("dtype", "order"):
-        if not isinstance(doc[key], str):
-            raise KtarError(f"{path}: header {key} must be a string, got {doc[key]!r}")
-    shape = doc["shape"]
-    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
-        raise KtarError(f"{path}: header shape must be a list of non-negative ints, got {shape!r}")
-    header = ArrayHeader(doc["dtype"], tuple(shape), doc["order"], meta=doc.get("meta"))
-    found = len(blob) - off
-    expected = header.count * header.numpy_dtype.itemsize
+        magic, field = fh.read(len(MAGIC)), fh.read(4)
+        if magic != MAGIC:
+            raise KtarBadMagic(f"{path}: bad magic {magic!r}")
+        if len(field) < 4:
+            raise KtarTruncated(f"{path}: truncated header length field")
+        hlen = int.from_bytes(field, "little")
+        text = fh.read(hlen)
+        if len(text) < hlen:
+            raise KtarTruncated(f"{path}: truncated header (need {hlen} bytes)")
+        try:
+            doc = json.loads(text.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise KtarError(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise KtarError(f"{path}: header is not a JSON object")
+        for key in ("dtype", "shape", "order"):
+            if key not in doc:
+                raise KtarError(f"{path}: header missing {key!r}")
+        for key in ("dtype", "order"):
+            if not isinstance(doc[key], str):
+                raise KtarError(f"{path}: header {key} must be a string, got {doc[key]!r}")
+        shape = doc["shape"]
+        if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+            raise KtarError(f"{path}: header shape must be a list of non-negative ints, "
+                            f"got {shape!r}")
+        header = ArrayHeader(doc["dtype"], tuple(shape), doc["order"], meta=doc.get("meta"))
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = header.count * header.numpy_dtype.itemsize
+        if found == expected:  # sized before it is allocated: a header may claim 2**40 elements
+            data = np.empty(header.shape, dtype=header.numpy_dtype)
+            found = fh.readinto(data)
     if found != expected:
         kind = KtarTruncated if found < expected else KtarSizeMismatch
         raise kind(f"{path}: payload size mismatch: header implies {expected} bytes, found {found}")
-    # read in place: a slice of the bytes would be one more copy of the payload
-    data = np.frombuffer(blob, dtype=header.numpy_dtype, count=header.count, offset=off)
-    return header, data.reshape(header.shape).copy()
+    return header, data

@@ -38,7 +38,6 @@ __all__ = [
     "annihilation_certificate",
 ]
 
-MODES = ("linear", "hybrid")
 ORACLE_MAX_ENTRIES = 10**7
 
 
@@ -147,8 +146,6 @@ def _gather_indices(spec, mode):
 
 def build_lifted(rho_hat, spec: FilterSpec, mode: str = "linear") -> np.ndarray:
     """Materialize T(rho_hat) for the given shift semantics as a dense array."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if rho_hat.shape != spec.grid.shape:
         raise ValueError(f"volume shape {rho_hat.shape} does not match grid {spec.grid.shape}")
     m, n = spec.n_rows(mode), spec.n_support
@@ -166,8 +163,6 @@ def apply_lifted_adjoint(y, spec: FilterSpec, mode: str = "linear") -> np.ndarra
 
     Satisfies <T(x), Y> = <x, apply_lifted_adjoint(Y)> for every volume x.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     y = np.asarray(y, dtype=np.complex128)
     expected = (spec.n_rows(mode), spec.n_support)
     if y.shape != expected:

@@ -286,8 +286,8 @@ def make_mask(
 
 class Measurements:
     """Sampled multichannel k-t data with its mask and coil maps, held as the
-    samples of its sampling operator: ``samples`` is ``sampling.gather(b)`` with
-    the unsampled lattice points zeroed, read-only; ``b`` scatters them on demand."""
+    samples of its sampling operator: ``samples`` is ``sampling.gather(b)``,
+    read-only; ``b`` scatters them on demand."""
 
     def __init__(self, b, mask, maps):
         b = np.asarray(b)
@@ -295,16 +295,13 @@ class Measurements:
             raise ValueError(f"data {b.shape}, mask {mask.shape} and coil maps {maps.shape} "
                              "do not fit (C, P, Q, T), (P, Q, T) and (C, P, Q)")
         self.mask, self.maps = mask, maps  # (P, Q, T) bool, (C, P, Q) complex
-        self.sampling = a = Sampling(maps, mask)
-        self.samples = a.gather(b)  # a copy: the mask goes on in place
-        dx, dy = a.step
-        self.samples *= mask if a.kspace else mask[::dx, ::dy, None, :]
+        self.sampling = Sampling(maps, mask)
+        self.samples = self.sampling.gather(b)
         self.samples.flags.writeable = False
 
     @property
     def b(self):
-        """(C, P, Q, T) complex data, 0 off the mask, read-only: a new array, or a
-        view of ``samples`` for one uniform coil."""
+        """(C, P, Q, T) complex data, 0 off the mask: a new read-only array."""
         b = self.sampling.scatter(self.samples)
         b.flags.writeable = False
         return b
@@ -323,7 +320,7 @@ class Sampling:
     the (P/dx)-point DFT of the signal folded dx times, over sqrt(dx) in ortho
     norm.  ``weight`` is mask[::dx, ::dy] / sqrt(dx dy) and ``coils`` one
     C x (dx dy) alias matrix per lattice pixel, (P/dx, Q/dy, C, dx dy).
-    Samples are (P, Q, T) in k-space, else (P/dx, Q/dy, C, T).
+    Samples are (P/dx, Q/dy, C, T): (P, Q, 1, T) for one uniform coil.
     """
 
     def __init__(self, maps, mask):
@@ -340,17 +337,18 @@ class Sampling:
             p // dx, q // dy, -1, dx * dy)
 
     def gather(self, b):
-        """The samples of (C, P, Q, T) data, a copy for ``adjoint`` to overwrite."""
+        """The samples of (C, P, Q, T) data, 0 off the mask: a new array for
+        ``adjoint`` to overwrite."""
         dx, dy = self.step
-        view = b[0] if self.kspace else np.moveaxis(b[:, ::dx, ::dy], 0, 2)
-        return view.astype(np.complex128, order="C")
+        samples = np.moveaxis(b[:, ::dx, ::dy], 0, 2).astype(np.complex128, order="C")
+        samples *= self.mask[::dx, ::dy, None, :]
+        return samples
 
     def scatter(self, samples):
-        """(C, P, Q, T) data holding ``samples``, 0 off the lattice."""
-        if self.kspace:
-            return samples[None, :, :, :]
+        """(C, P, Q, T) data holding ``samples``, 0 off the lattice: a new array."""
+        dx, dy = self.step
         b = np.zeros((samples.shape[2],) + self.mask.shape, dtype=np.complex128)
-        b[:, :: self.step[0], :: self.step[1]] = np.moveaxis(samples, 2, 0)
+        b[:, ::dx, ::dy] = np.moveaxis(samples, 2, 0)
         return b
 
     def to_domain(self, x):
@@ -368,7 +366,7 @@ class Sampling:
         """A img as new samples: one matmul per lattice pixel folds and coil-weights
         its aliases, one fft2 takes all coils."""
         if self.kspace:
-            return img * self.mask
+            return (img * self.mask)[:, :, None, :]
         (dx, dy), (lp, lq, _, k) = self.step, self.coils.shape
         img = img.reshape(dx, lp, dy, lq, -1).transpose(1, 3, 0, 2, 4).reshape(lp, lq, k, -1)
         samples = self.coils @ img  # img names the tiled copy: a temporary argument can go first
@@ -381,8 +379,8 @@ class Sampling:
         """A* samples, sum_c conj(S_c) F^H M d_c on the lattice; overwrites
         ``samples``.  One matmul per lattice pixel unfolds all coils' aliases."""
         if self.kspace:
-            samples *= self.mask
-            return samples
+            samples *= self.mask[:, :, None, :]
+            return samples[:, :, 0, :]
         (dx, dy), (lp, lq, _, t) = self.step, samples.shape
         samples *= self.weight[:, :, None, :]
         np.fft.ifftn(samples, axes=(0, 1), norm="ortho", out=samples)  # ifft2 ignores out=

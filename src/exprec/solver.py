@@ -105,35 +105,27 @@ class CgResult:
     r0_rel: float  # ||rhs - op(x0)|| / ||rhs||, the warm start's relative residual
 
 
-def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None, forcing=0.0) -> CgResult:
+def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=1.0, forcing=0.0) -> CgResult:
     """Conjugate gradients for a Hermitian PSD operator on complex arrays.
 
-    ``inv_diag`` is an optional Jacobi preconditioner: the elementwise inverse
-    of the operator's diagonal, positive everywhere.  Either way CG stops on
-    the unpreconditioned relative residual ``||rhs - op(x)|| / ||rhs||``, which
-    may rise on the way (CG lowers the error's A-norm), so no rise ends it.  The
-    stop ``"tol"`` is at ``max(tol, forcing * r0_rel)``, r0_rel that ratio at x0:
-    with ``forcing`` below 1, CG takes a step whenever r0_rel exceeds ``tol``.
+    ``inv_diag`` is the Jacobi preconditioner, the elementwise inverse of the
+    operator's diagonal, positive everywhere; the default 1.0 is the identity,
+    bit for bit.  CG stops on the unpreconditioned relative residual ``||rhs -
+    op(x)|| / ||rhs||``, which may rise on the way (CG lowers the error's
+    A-norm), so no rise ends it.  The stop ``"tol"`` is at ``max(tol, forcing
+    * r0_rel)``, r0_rel that ratio at x0: with ``forcing`` below 1, CG takes a
+    step whenever r0_rel exceeds ``tol``.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return CgResult(np.zeros_like(rhs), 0, 0.0, "zero_rhs", 0.0)
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.complex128, copy=True)
     del x0  # a warm start made for this call is freed here, not held through CG
-
-    def precondition(r, rs):
-        """(M^-1 r, r^H M^-1 r) for rs = r^H r; M = I without ``inv_diag``."""
-        if inv_diag is None:
-            return r, rs
-        z = inv_diag * r
-        return z, float(np.vdot(r, z).real)
-
     r = rhs - op(x)
     del rhs  # a right-hand side made for this call is freed here, not held through CG
-    rs = float(np.vdot(r, r).real)
-    z, rz = precondition(r, rs)
-    pdir = z.copy()
-    res = rs**0.5
+    pdir = inv_diag * r
+    rz = float(np.vdot(r, pdir).real)
+    res = float(np.vdot(r, r).real) ** 0.5
     r0_rel = res / rhs_norm
     tol = max(tol, forcing * r0_rel)
     it = 0
@@ -149,11 +141,12 @@ def cg_solve(op, rhs, x0=None, tol=1e-8, maxiter=200, inv_diag=None, forcing=0.0
         ap *= alpha
         r -= ap
         del ap  # freed before the next op(pdir) allocates its result
-        rs_new = float(np.vdot(r, r).real)
-        res = rs_new**0.5
-        z, rz_new = precondition(r, rs_new)
+        res = float(np.vdot(r, r).real) ** 0.5
+        z = inv_diag * r
+        rz_new = float(np.vdot(r, z).real)
         pdir *= rz_new / rz
         pdir += z
+        del z  # likewise
         rz = rz_new
         it += 1
     stop = stop or ("tol" if res / rhs_norm <= tol else "maxiter")
@@ -197,11 +190,10 @@ def ls_update(block, meas, lam: float, warm_start=None, cg_iters: int = 200,
 
     N is the penalty normal operator of ``block``, the (P, Q, T, T) output of
     ``fastops.build_normal_multipliers`` over the valid linear window.  CG runs
-    on the domain of the sampling operator ``meas.sampling``.  For one
-    uniform coil that is k-space, where A* A is the mask M: ``apply_normal +
-    lam M`` (one FFT pair per iteration), preconditioned by its exact diagonal.
-    Otherwise it is z = F^H x (F unitary): a per-pixel penalty matmul and one
-    batched FFT pair over all coils at the mask's lattice, unpreconditioned.
+    on the domain of the sampling operator ``meas.sampling``, whose ``adjoint(
+    apply(.))`` is A* A for every coil count.  For one uniform coil that is
+    k-space: N is ``apply_normal``, preconditioned by the exact diagonal.
+    Otherwise it is z = F^H x (F unitary): N is a per-pixel matmul, unpreconditioned.
     Returns the ``CgResult``, its ``x`` in k-space; the quadratic objective
     there never exceeds its value at the warm start.
     """
@@ -209,16 +201,12 @@ def ls_update(block, meas, lam: float, warm_start=None, cg_iters: int = 200,
     x0 = None if warm_start is None else np.asarray(warm_start, dtype=np.complex128)
     if x0 is not None:
         require_finite("ls_update warm_start", x0)
-    lam_mask = lam * meas.mask if a.kspace else None  # lam A* A in one pass
-    inv_diag = _jacobi_inverse(block, lam_mask) if a.kspace else None
     penalty = fastops.apply_normal if a.kspace else fastops.apply_block
+    inv_diag = _jacobi_inverse(block, lam * meas.mask) if a.kspace else 1.0
 
     def op(v):  # the data term first: its transient peaks before the penalty's result exists
-        if a.kspace:
-            d = lam_mask * v
-        else:
-            d = a.adjoint(a.apply(v))
-            d *= lam
+        d = a.adjoint(a.apply(v))
+        d *= lam
         d += penalty(block, v)
         return d
 

@@ -79,6 +79,21 @@ class TestRoundTrip:
         assert back.shape == data.shape and back.flags.writeable
         assert peak <= 2.1 * data.nbytes, peak / data.nbytes
 
+    def test_read_holds_one_payload(self, tmp_path):
+        # a fig6-sized file is read straight into the returned array: no
+        # bytes object of the whole file is held beside it
+        path = tmp_path / "meas.ktar"
+        data = np.ones((4, 64, 64, 12), dtype=np.complex128)
+        ktar.write_array(path, data)
+        tracemalloc.start()
+        try:
+            _, back = ktar.read_array(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, data) and back.flags.writeable
+        assert peak <= 1.1 * data.nbytes, peak / data.nbytes
+
 
 class TestErrors:
     def test_bad_magic(self, tmp_path):

@@ -212,3 +212,14 @@ class TestCertificate:
         spec = FilterSpec(2, 2, 2, g)
         cert = annihilation_certificate(random_volume(g, 9), spec, "linear", tol=1e-8)
         assert cert.nullity_est == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda vol, spec: build_lifted(vol, spec, "circular"),
+    lambda vol, spec: apply_lifted_adjoint(np.zeros((4, spec.n_support)), spec, "circular"),
+    lambda vol, spec: annihilation_certificate(vol, spec, "circular"),
+], ids=["build_lifted", "apply_lifted_adjoint", "annihilation_certificate"])
+def test_unknown_mode_is_rejected(call):
+    g = Grid(4, 4, 3)
+    with pytest.raises(ValueError, match="unknown mode 'circular'"):
+        call(random_volume(g, 1), FilterSpec(2, 2, 2, g))

@@ -265,6 +265,16 @@ class TestLatticeOperator:
         assert np.array_equal(sampling.scatter(samples), b)
         samples[...] = 0  # a copy: the data stays
         assert np.array_equal(sampling.scatter(sampling.gather(b)), b)
+        # one uniform coil takes the same layout on the full grid, and gather
+        # zeroes what lies off the mask
+        one = Sampling(make_coils(g, 1), mask)
+        b = np.random.default_rng(3).standard_normal((1, *g.shape)) + 0j
+        samples = one.gather(b)
+        assert samples.shape == (g.p, g.q, 1, g.t)
+        assert np.array_equal(one.scatter(samples), b * mask)
+        off = tuple(np.argwhere(~mask)[0])
+        b[(0, *off)] = 5.0
+        assert one.gather(b)[off[0], off[1], 0, off[2]] == 0
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's frame "
                         "keeps a temporary argument alive, so the adjoint cannot free it")

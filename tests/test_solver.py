@@ -264,8 +264,8 @@ class TestCg:
         m, rhs = self._spd()
         inv_diag = 1.0 / np.diag(m).real if jacobi else None
         warm = 0.3 * rhs
-        res = cg_solve(lambda v: m @ v, rhs, x0=warm, tol=1e-10, maxiter=300,
-                       inv_diag=inv_diag, forcing=0.0)
+        pre = {} if inv_diag is None else {"inv_diag": inv_diag}
+        res = cg_solve(lambda v: m @ v, rhs, x0=warm, tol=1e-10, maxiter=300, forcing=0.0, **pre)
         x, iters, stop = self._cg_without_forcing(lambda v: m @ v, rhs, warm, 1e-10, 300,
                                                   inv_diag)
         assert (res.iters, res.stop) == (iters, stop) == (iters, "tol")
@@ -389,6 +389,37 @@ class TestLsUpdate:
         assert cg.rel_residual <= 1e-10
         assert cg.iters < plain.iters
         assert np.linalg.norm(cg.x - plain.x) <= 1e-8 * np.linalg.norm(plain.x)
+
+    def _problem(self, c):
+        g = Grid(8, 8, 4)
+        kt, meas, spec = make_problem(g, fraction=0.4, c=c, seed=6,
+                                      acceleration=None if c == 1 else 4.0)
+        block = fastops.build_normal_multipliers(weight_matrix(kt, spec, p=0.6, eps=0.1), spec)
+        lam, warm = 3.0, 0.5 * kt
+        res = ls_update(block, meas, lam, warm_start=warm, cg_iters=300, cg_tol=1e-10,
+                        cg_forcing=1e-3)
+        return meas, block, lam, warm, res
+
+    def test_one_coil_matches_fused_operator_bitwise(self):
+        # one uniform coil: the data term adjoint(apply(v)) times lam gives the
+        # bits of the fused lam * mask * v, under the same Jacobi preconditioner
+        meas, block, lam, warm, res = self._problem(1)
+        mask = meas.mask
+        ref = cg_solve(lambda v: fastops.apply_normal(block, v) + (lam * mask) * v,
+                       lam * meas.zerofill(), x0=warm, tol=1e-10, maxiter=300,
+                       inv_diag=solver._jacobi_inverse(block, lam * mask), forcing=1e-3)
+        assert (res.iters, res.stop) == (ref.iters, ref.stop) and res.iters > 0
+        assert res.x.tobytes() == ref.x.tobytes()
+
+    def test_multi_coil_matches_unpreconditioned_operator_bitwise(self):
+        # 3 coils on a 2x2 lattice: image-domain CG with no preconditioner
+        meas, block, lam, warm, res = self._problem(3)
+        a = meas.sampling
+        ref = cg_solve(lambda v: lam * a.adjoint(a.apply(v)) + fastops.apply_block(block, v),
+                       lam * meas.zerofill(), x0=a.to_domain(warm), tol=1e-10, maxiter=300,
+                       forcing=1e-3)
+        assert (res.iters, res.stop) == (ref.iters, ref.stop) and res.iters > 0
+        assert res.x.tobytes() == a.to_kspace(ref.x).tobytes()
 
     @pytest.mark.parametrize("c", [1, 3])
     def test_rhs_not_held_through_cg(self, c):
